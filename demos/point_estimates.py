@@ -24,16 +24,17 @@ for study, name in [(surveys, "blood-analyte surveys"), (hospital, "hospital sur
     for g, cv in zip(study.groups, group_cvs(study)):
         print(f"  {g.label:>10}  n={g.n:<3d} mean={g.mean:<10.4g} sd={g.sd:<10.5g} cv={cv:.4f}")
 
-    # The chi-square-weighted estimate averages the group CVs on the
-    # inverse-square scale; the harmonic-style one averages the inverse
-    # CVs weighted by group size.  Both are closed-form.
+    # The Feltz-Miller estimate is the mean of the group CVs weighted by
+    # group size; the harmonic-style one averages the inverse CVs with the
+    # same weights.  Both are closed-form.
     fm = feltz_miller_estimate(study)
     harm = new_estimate(study)
 
-    # Maximum likelihood iterates Newton steps over (phi, sigma_1..sigma_k).
+    # Maximum likelihood: for fixed phi each sigma_i has a closed form, so
+    # the estimate is the root of a one-dimensional profile score in phi.
     mle = newton_mle(study)
 
-    print(f"  chi-square weighted : {fm:.4f}")
+    print(f"  size weighted       : {fm:.4f}")
     print(f"  inverse-CV weighted : {harm:.4f}")
     print(f"  maximum likelihood  : {mle.phi:.4f}")
     print(f"  MLE group sigmas    : {', '.join(f'{s:.2f}' for s in mle.sigmas)}")

@@ -11,7 +11,6 @@ from .estimators import (
     log_likelihood,
     new_estimate,
     newton_mle,
-    newton_step,
     score_and_hessian,
     vj_interval,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "new_estimate",
     "new_method_draw",
     "newton_mle",
-    "newton_step",
     "quantile",
     "read_raw_csv",
     "read_summary_csv",

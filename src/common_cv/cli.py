@@ -16,7 +16,14 @@ import sys
 
 from . import errors
 from .estimators import feltz_miller_estimate, group_cvs, new_estimate, newton_mle
-from .io import load_hospital_survival, load_mcv_surveys, read_raw_csv, read_summary_csv
+from .io import (
+    _parse_count,
+    _parse_float,
+    load_hospital_survival,
+    load_mcv_surveys,
+    read_raw_csv,
+    read_summary_csv,
+)
 from .model import Alternative, Method, PIVOTAL_METHODS, Study
 from .pivotal import confidence_interval, gpq_test
 from .simulate import ALL_METHODS, SimConfig, run_grid
@@ -239,14 +246,14 @@ def _read_grid(path, reps, draws, level, methods, seed) -> list[SimConfig]:
     if header != expected:
         raise errors.MalformedHeaderError(f"expected header {','.join(expected)!r}, got {','.join(header)!r}")
     configs = []
-    for row in rows[1:]:
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):
             raise errors.ValidationError(f"grid row {row!r} does not match the header")
-        phi = float(row[0])
-        mus = tuple(float(v) for v in row[1 : k + 1])
-        ns = tuple(int(v) for v in row[k + 1 :])
+        phi = _parse_float(row[0], lineno)
+        mus = tuple(_parse_float(v, lineno) for v in row[1 : k + 1])
+        ns = tuple(_parse_count(v, lineno) for v in row[k + 1 :])
         configs.append(
             SimConfig(
                 phi=phi, mus=mus, ns=ns, reps=reps, m=draws,

@@ -61,12 +61,9 @@ class DegenerateDenominatorError(NumericalError):
     regenerated."""
 
 
-class SingularHessianError(NumericalError):
-    """Newton step could not be solved."""
-
-
 class NoConvergenceError(NumericalError):
-    """Iteration budget exhausted before the stopping rule was met."""
+    """An estimate could not be located, e.g. the likelihood has no
+    maximum inside the searched domain."""
 
 
 class DegenerateRateError(NumericalError):

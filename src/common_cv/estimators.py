@@ -9,8 +9,9 @@ in terms of the sufficient statistics (n_i, mean_i, sd_i) is
             - ((n_i-1)*sd_i^2 + n_i*(mean_i - sigma_i/phi)^2) / (2*sigma_i^2) ]
     - (n/2)*ln(2*pi),            n = sum_i n_i.
 
-Three closed-form estimators are provided, plus a Newton maximizer of the
-likelihood above and the asymptotic (Wald) interval built on it.
+Three closed-form estimators are provided, plus the maximum likelihood
+estimate, found as the root of the one-dimensional profile score in phi,
+and the asymptotic (Wald) interval built on it.
 """
 
 from __future__ import annotations
@@ -19,23 +20,20 @@ import math
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 from .errors import (
     DegenerateDenominatorError,
     NoConvergenceError,
     NonPositiveSigmaError,
-    SingularHessianError,
     ValidationError,
 )
 from .model import IntervalResult, Method, ParameterVector, SampleSummary, Study
 
-_MAX_NEWTON_ITERATIONS = 100
-_MAX_STEP_HALVINGS = 30
-_GRADIENT_TOLERANCE = 1e-9  # scaled by total n in the stopping rule
-_PHI_BOUNDS = (1e-6, 1e6)
-_LL_SLACK = 1e-10  # relative likelihood wiggle treated as "no worse"
-_ENDGAME_SHRINK = 0.5  # required gradient-norm factor when the likelihood is flat
+_PHI_MAX = 1e6  # largest |phi| searched for the MLE
+_EPS = float(np.finfo(float).eps)
+_XTOL = float(np.finfo(float).tiny)
 
 
 def _groups(study: Study | Sequence[SampleSummary]) -> tuple[SampleSummary, ...]:
@@ -148,93 +146,48 @@ def score_and_hessian(
     return _Likelihood(study).score_hessian(phi, sig)
 
 
-def _solve_step(gradient: np.ndarray, hessian: np.ndarray) -> np.ndarray:
-    # Newton displacement -H^{-1} g via a linear solve, never an inverse.
-    try:
-        step = np.linalg.solve(hessian, gradient)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHessianError(str(exc)) from exc
-    if not np.all(np.isfinite(step)):
-        raise SingularHessianError("Newton step is not finite")
-    return -step
-
-
-def newton_step(
-    study: Study | Sequence[SampleSummary], theta: ParameterVector | tuple
-) -> ParameterVector:
-    """One full, undamped Newton step from theta."""
-    phi, sig = _theta_arrays(theta)
-    gradient, hessian = score_and_hessian(study, (phi, sig))
-    move = _solve_step(gradient, hessian)
-    return ParameterVector(phi=phi + move[0], sigmas=tuple(sig + move[1:]))
-
-
-def _in_domain(phi: float, sig: np.ndarray) -> bool:
-    lo, hi = _PHI_BOUNDS
-    return bool(np.all(sig > 0.0)) and lo < abs(phi) < hi
-
-
 def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     """Maximum likelihood estimate of (phi, sigma_1..sigma_k).
 
-    Damped Newton iteration started at (harmonic pooled CV, sample sds),
-    stopped when the gradient's max-norm drops below 1e-9 * n, with up to
-    100 iterations.  A trial step is halved (at most 30 times) until it
-    lands inside the parameter domain (all sigma > 0, |phi| within
-    [1e-6, 1e6]) and raises the likelihood; once improvements sit below
-    floating point resolution a step is still accepted if it at least
-    halves the gradient norm.  Where the pure Newton direction fails,
-    progressively larger multiples of the identity are subtracted from the
-    Hessian, grading the direction toward plain gradient ascent.
+    For fixed phi the likelihood is maximized by sigma_i = phi*mean_i*u_i,
+    where u_i is the root of p*u^2 + u = 1 + q_i that makes sigma_i
+    positive (p = phi^2, q_i = (n_i-1)*sd_i^2/(n_i*mean_i^2)).  The profile
+    score is then h(p)/phi^3 with h(p) = sum_i n_i*(1 - 1/u_i), so the MLE
+    is the root of h, located by Brent's method to rounding accuracy; phi
+    takes the sign of :func:`new_estimate`.
+
+    A group whose mean has phi's sign contributes n_i*d_i/(1 + d_i), with
+    d_i = u_i - 1 written free of cancellation; it has the sign of q_i - p.
+    A group of the other sign contributes a positive term.  So the root
+    lies in [min q_i, max q_i] over the groups of phi's sign, except that
+    with mixed signs the upper end is quadrupled until h < 0.  Raises
+    NoConvergenceError if h stays positive up to |phi| = 1e6.
     """
-    lik = _Likelihood(study)
-    n_total = float(lik.ns.sum())
-    tol = _GRADIENT_TOLERANCE * n_total
+    ns, means, sds = _stats(study)
+    sign = math.copysign(1.0, new_estimate(study))
+    q = (ns - 1.0) * sds**2 / (ns * means**2)
+    same = sign * means > 0.0
 
-    phi = new_estimate(study)
-    sig = lik.sds.copy()
-    current = lik.value(phi, sig)
+    def parts(p: float) -> tuple[np.ndarray, np.ndarray]:
+        root_s = np.sqrt(1.0 + 4.0 * p * (1.0 + q))
+        d = 4.0 * (q - p) * (1.0 + q) / ((1.0 + root_s) * (1.0 + 2.0 * q + root_s))
+        return d, root_s
 
-    for _ in range(_MAX_NEWTON_ITERATIONS):
-        gradient, hessian = lik.score_hessian(phi, sig)
-        gnorm = float(np.max(np.abs(gradient)))
-        if gnorm < tol:
-            return ParameterVector(phi=phi, sigmas=tuple(sig))
+    def h(p: float) -> float:
+        d, root_s = parts(p)
+        other = (1.0 + 2.0 * q + root_s) / (2.0 * (1.0 + q))
+        return float(np.sum(ns * np.where(same, d / (1.0 + d), other)))
 
-        slack = _LL_SLACK * (1.0 + abs(current))
-        shift_unit = max(1.0, float(np.max(np.abs(np.diag(hessian)))))
-        accepted = False
-        for shift_exp in range(-1, 18):
-            if shift_exp < 0:
-                shifted = hessian
-            else:
-                shifted = hessian - shift_unit * 10.0 ** (shift_exp - 8) * np.eye(len(gradient))
-            try:
-                move = _solve_step(gradient, shifted)
-            except SingularHessianError:
-                continue
-            if float(gradient @ move) <= 0.0:
-                continue  # not an ascent direction; no step length can help
-            for _ in range(_MAX_STEP_HALVINGS + 1):
-                cand_phi = float(phi + move[0])
-                cand_sig = sig + move[1:]
-                if _in_domain(cand_phi, cand_sig):
-                    value = lik.value(cand_phi, cand_sig)
-                    if value > current:
-                        accepted = True
-                        break
-                    if value >= current - slack:
-                        cand_grad, _ = lik.score_hessian(cand_phi, cand_sig)
-                        if float(np.max(np.abs(cand_grad))) <= _ENDGAME_SHRINK * gnorm:
-                            accepted = True
-                            break
-                move = move / 2.0
-            if accepted:
-                phi, sig, current = cand_phi, cand_sig, value
-                break
-        if not accepted:
-            raise NoConvergenceError("Newton iteration stalled away from a stationary point")
-    raise NoConvergenceError(f"no convergence in {_MAX_NEWTON_ITERATIONS} Newton iterations")
+    lo, hi = float(q[same].min()), float(q[same].max())
+    while h(hi) > 0.0:
+        if hi >= _PHI_MAX**2:
+            raise NoConvergenceError(f"profile score stays positive up to |phi| = {_PHI_MAX:g}")
+        lo, hi = hi, 4.0 * hi
+    p = brentq(h, lo, hi, xtol=_XTOL, rtol=4.0 * _EPS)
+    d, root_s = parts(p)
+    u = np.where(same, 1.0 + d, -(1.0 + root_s) / (2.0 * p))
+    phi = sign * math.sqrt(p)
+    return ParameterVector(phi=phi, sigmas=tuple(phi * means * u))
 
 
 def vj_interval(study: Study, level: float) -> IntervalResult:

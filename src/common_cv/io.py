@@ -64,6 +64,16 @@ def _parse_float(field, lineno):
     return value
 
 
+def _parse_count(field, lineno):
+    try:
+        n = int(field)
+    except ValueError:
+        raise InvalidCountError(f"line {lineno}: n must be an integer, got {field!r}") from None
+    if n < 2:
+        raise InvalidCountError(f"line {lineno}: n must be >= 2, got {n}")
+    return n
+
+
 def read_raw_csv(source) -> Study:
     """Parse ``group,value`` rows into a Study, one group per label."""
     by_group: dict[str, list[float]] = {}
@@ -80,12 +90,7 @@ def read_summary_csv(source) -> Study:
     for lineno, (label, n_field, mean_field, sd_field) in _rows(source, SUMMARY_HEADER):
         if not label:
             raise ValidationError(f"line {lineno}: empty group label")
-        try:
-            n = int(n_field)
-        except ValueError:
-            raise InvalidCountError(f"line {lineno}: n must be an integer, got {n_field!r}") from None
-        if n < 2:
-            raise InvalidCountError(f"line {lineno}: n must be >= 2, got {n}")
+        n = _parse_count(n_field, lineno)
         mean = _parse_float(mean_field, lineno)
         sd = _parse_float(sd_field, lineno)
         groups.append(SampleSummary(n=n, mean=mean, sd=sd, label=label))

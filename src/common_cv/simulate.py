@@ -9,9 +9,9 @@ Monte Carlo noise.  Per-replication randomness is derived from
 every replication individually reproducible and independent of execution
 order.
 
-A method failing on one replication (no Newton convergence, degenerate
-draw rate) is counted in ``failures`` and excluded from that method's
-denominator; it never aborts the study.
+A method failing on one replication (no likelihood maximum found,
+degenerate draw rate) is counted in ``failures`` and excluded from that
+method's denominator; it never aborts the study.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ class SimConfig:
             raise ValidationError(f"phi must be positive, got {self.phi}")
         if any(mu == 0.0 for mu in self.mus):
             raise ValidationError("group means must be nonzero")
+        if min(self.mus) < 0.0 < max(self.mus):
+            raise ValidationError(f"group means must share one sign, got {self.mus}")
         if any(n < 2 for n in self.ns):
             raise ValidationError(f"group sizes must be >= 2, got {self.ns}")
         if self.reps < 1:

@@ -1,8 +1,10 @@
 """Profile-likelihood recomputation of the maximum likelihood CV.
 
-Independent cross-check for the Newton solver: for fixed phi the sigma
-score has a closed-form positive root, so the joint maximization reduces
-to a 1-D profile search. Run: python3 tests/oracles/mle_profile.py
+Independent cross-check for ``newton_mle``: for fixed phi the sigma score
+has a closed-form positive root, so the joint maximization reduces to a
+1-D profile search, done here by a grid and Brent's minimizer instead of
+a root of the profile score. Run: python3 tests/oracles/mle_profile.py
+to print the table; importing the module prints nothing.
 """
 import math
 
@@ -11,8 +13,12 @@ from scipy.optimize import minimize_scalar
 
 
 def profile_sigmas(phi, ns, means, a):
+    # positive root of s^2 + b*s - c; for b > 0 the product of the roots
+    # gives it without the cancellation of -b + sqrt(b^2 + 4c) at small phi
     b = means / phi
-    return (-b + np.sqrt(b * b + 4.0 * (a / ns + means**2))) / 2.0
+    c = a / ns + means**2
+    root = np.sqrt(b * b + 4.0 * c)
+    return np.where(b > 0.0, 2.0 * c / (b + root), (root - b) / 2.0)
 
 
 def loglik(phi, sig, ns, means, a):
@@ -36,12 +42,15 @@ def mle(ns, means, sds, lo=1e-4, hi=50.0):
     return phi, profile_sigmas(phi, ns, means, a), -float(res.fun)
 
 
-for name, ns, means, sds in [
-    ("survey  ", [63, 72], [84.13, 85.68], [3.390, 2.946]),
-    ("hospital", [5, 4, 3, 10], [168.0, 59.5, 45.666666666666664, 154.6],
-     [82.94877938166561, 66.78573150530814, 26.727020033405, 94.31177020842435]),
-    ("single  ", [10], [10.0], [2.0]),
-    ("pair    ", [5, 7], [2.0, 3.0], [1.0, 0.6]),
-]:
-    phi, sig, ll = mle(ns, means, sds)
-    print(f"{name} phi={phi:.8f} sigmas={np.round(sig, 6)} loglik={ll:.8f}")
+if __name__ == "__main__":
+    for name, ns, means, sds in [
+        ("survey  ", [63, 72], [84.13, 85.68], [3.390, 2.946]),
+        ("hospital", [5, 4, 3, 10], [168.0, 59.5, 45.666666666666664, 154.6],
+         [82.94877938166561, 66.78573150530814, 26.727020033405, 94.31177020842435]),
+        ("single  ", [10], [10.0], [2.0]),
+        ("pair    ", [5, 7], [2.0, 3.0], [1.0, 0.6]),
+        ("wide    ", [3, 14], [1.0, 29.0], [4.0, 0.125]),
+        ("cv3/0.01", [5, 5], [1.0, 1.0], [3.0, 0.01]),
+    ]:
+        phi, sig, ll = mle(ns, means, sds)
+        print(f"{name} phi={phi:.8f} sigmas={np.round(sig, 6)} loglik={ll:.8f}")

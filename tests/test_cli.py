@@ -164,6 +164,14 @@ class TestCi:
         assert code == 0
         assert json.loads(out)["seed"] == 9
 
+    def test_default_seed_is_zero(self, capsys):
+        code, out, _ = run(
+            capsys, "ci", "--input", SURVEYS_PATH, "--summary",
+            "--draws", "300", "--method", "new", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == 0
+
     def test_non_integer_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("COMMON_CV_SEED", "lots")
         code, _, err = run(
@@ -325,6 +333,21 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", write_grid(tmp_path, text))
         assert code == 1
         assert "does not match" in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("abc,1.0,2.0,10,10", "not a number: 'abc'"),
+            ("0.3,1.0,abc,10,10", "not a number: 'abc'"),
+            ("0.3,1.0,2.0,10,5.5", "n must be an integer, got '5.5'"),
+            ("0.3,1,-1,5,5", "means must share one sign"),
+        ],
+    )
+    def test_bad_grid_value(self, capsys, tmp_path, row, message):
+        text = "phi,mu1,mu2,n1,n2\n" + row + "\n"
+        code, out, err = run(capsys, "simulate", "--config", write_grid(tmp_path, text))
+        assert code == 1 and out == ""
+        assert "invalid input" in err and message in err
 
     def test_bad_level(self, capsys, tmp_path):
         code, _, err = run(

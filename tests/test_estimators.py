@@ -4,25 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from common_cv.errors import (
-    NoConvergenceError,
-    NonPositiveSigmaError,
-    SingularHessianError,
-    ValidationError,
-)
+from common_cv.errors import NoConvergenceError, NonPositiveSigmaError, ValidationError
 from common_cv.estimators import (
-    _solve_step,
     eta_hat,
     feltz_miller_estimate,
     group_cvs,
     log_likelihood,
     new_estimate,
     newton_mle,
-    newton_step,
     score_and_hessian,
     vj_interval,
 )
 from common_cv.model import Method, SampleSummary, Study, summarize
+from oracles.mle_profile import loglik, profile_sigmas
 
 
 def rounded_cv_surveys() -> Study:
@@ -43,6 +37,8 @@ def study_of(ns, means, sds) -> list[SampleSummary]:
 SURVEY_MLE = (0.03697852, (3.111718, 3.167682), -346.08874016)
 HOSPITAL_MLE = (0.60148476, (91.065667, 47.140744, 25.305683, 91.536011), -124.04751421)
 PAIR_MLE = (0.31220289, (0.677612, 0.886868), -14.24094546)
+WIDE_MLE = (0.45376740, (2.4871, 11.197559), -60.67504775)
+CV3_MLE = (0.97296113, (2.395415, 0.610457), -16.08943342)
 
 
 class TestGroupCvs:
@@ -210,51 +206,15 @@ class TestScoreAndHessian:
 
 
 class TestNewtonStep:
-    def test_fixed_point_at_mle(self, surveys):
-        mle = newton_mle(surveys)
-        stepped = newton_step(surveys, mle)
-        assert stepped.phi == pytest.approx(mle.phi, abs=1e-10)
-        assert np.allclose(stepped.sigmas, mle.sigmas, atol=1e-8)
-
     def test_full_step_direction_on_hospital(self, hospital):
         """From the consistent start the raw Newton displacement points
-        from 0.6248 down toward the MLE 0.6015 (it overshoots, which is
-        why the iterated solver damps it)."""
+        from 0.6248 down toward the MLE 0.6015."""
         phi0 = new_estimate(hospital)
         sds = np.array([g.sd for g in hospital])
         gradient, hessian = score_and_hessian(hospital, (phi0, sds))
         move = -np.linalg.solve(hessian, gradient)
         assert phi0 > 0.6015
         assert move[0] < 0.0
-
-    def test_full_step_can_exit_domain(self, hospital):
-        # the undamped step from the consistent start pushes sigma_2 negative
-        phi0 = new_estimate(hospital)
-        with pytest.raises(NonPositiveSigmaError):
-            newton_step(hospital, (phi0, tuple(g.sd for g in hospital)))
-
-    def test_in_domain_step_contracts_near_mle(self):
-        groups = study_of([5, 7], [2.0, 3.0], [1.0, 0.6])
-        mle = newton_mle(groups)
-        start = (mle.phi * 1.001, tuple(s * 0.999 for s in mle.sigmas))
-        stepped = newton_step(groups, start)
-        assert abs(stepped.phi - mle.phi) < 0.1 * abs(start[0] - mle.phi)
-
-    def test_quadratic_exactness(self):
-        # Newton displacement -H^{-1} g lands exactly on the optimum of a
-        # quadratic with curvature H: g = H (theta - opt) => move = opt - theta
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((3, 3))
-        hessian = -(m @ m.T + 3.0 * np.eye(3))  # negative definite
-        theta = rng.standard_normal(3)
-        optimum = rng.standard_normal(3)
-        gradient = hessian @ (theta - optimum)
-        move = _solve_step(gradient, hessian)
-        assert np.allclose(theta + move, optimum, atol=1e-12)
-
-    def test_singular_hessian(self):
-        with pytest.raises(SingularHessianError):
-            _solve_step(np.ones(2), np.zeros((2, 2)))
 
 
 class TestNewtonMle:
@@ -329,13 +289,84 @@ class TestNewtonMle:
         n = sum(r[0] for r in rows)
         assert np.max(np.abs(gradient)) < 1e-9 * n
 
-    def test_iteration_cap_on_wildly_misspecified_data(self):
-        # group CVs of 4.0 and 0.0043 (ratio ~930): a true interior maximum
-        # exists but lies two orders of magnitude from the consistent start,
-        # and the fixed 100-iteration budget runs out while still climbing
+    def check_oracle(self, groups, expected):
+        phi, sigmas, ll = expected
+        mle = newton_mle(groups)
+        assert mle.phi == pytest.approx(phi, abs=2e-7)
+        assert np.allclose(mle.sigmas, sigmas, atol=2e-5)
+        assert log_likelihood(groups, mle) == pytest.approx(ll, abs=1e-6)
+
+    def test_interior_maximum_on_wildly_misspecified_data(self):
+        # group CVs of 4.0 and 0.0043 (ratio ~930): the interior maximum
+        # lies two orders of magnitude above the consistent start
         groups = study_of([3, 14], [1.0, 29.0], [4.0, 0.125])
+        assert new_estimate(groups) < 0.01
+        self.check_oracle(groups, WIDE_MLE)
+
+    def test_maximum_far_above_consistent_start(self):
+        # group CVs 3.0 and 0.01: the start is 0.0199, the MLE 0.973
+        groups = study_of([5, 5], [1.0, 1.0], [3.0, 0.01])
+        assert new_estimate(groups) == pytest.approx(0.0199, abs=1e-4)
+        self.check_oracle(groups, CV3_MLE)
+
+    def test_mixed_sign_means_with_a_maximum(self):
+        # phi follows the sign of the consistent start; the group of the
+        # other sign takes the other root for its sigma
+        groups = study_of([5, 5], [1.0, -1.0], [0.1, 0.2])
+        mle = newton_mle(groups)
+        assert mle.phi > 0.0
+        gradient, hessian = score_and_hessian(groups, mle)
+        assert np.max(np.abs(gradient)) < 1e-9 * 10  # n = 10
+        assert np.all(np.linalg.eigvalsh(hessian) < 0.0)
+
+    def test_mixed_sign_means_without_a_maximum(self):
+        # the group of the other sign outweighs the rest: the profile score
+        # stays positive for every |phi| up to the search limit 1e6
+        groups = study_of([10, 12], [1.0, -1.0], [0.1, 0.15])
         with pytest.raises(NoConvergenceError):
             newton_mle(groups)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        base_cv=st.floats(min_value=0.02, max_value=1.5),
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=3, max_value=40),
+                st.floats(min_value=0.5, max_value=50.0),
+                st.floats(min_value=-3.0, max_value=3.0),  # log10 of the CV jitter
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+        negative=st.booleans(),
+    )
+    def test_profile_maximum(self, base_cv, rows, negative):
+        """Group CVs up to 1e6 apart, means of either sign: the estimate is
+        odd in the means, a strict local maximum of the likelihood, and the
+        oracle's profile likelihood is no higher a relative 1e-6 away."""
+        counts = [r[0] for r in rows]
+        means = (-1.0 if negative else 1.0) * np.array([r[1] for r in rows])
+        sds = np.abs(means) * base_cv * 10.0 ** np.array([r[2] for r in rows])
+        groups = study_of(counts, means, sds)
+        mle = newton_mle(groups)
+
+        flipped = newton_mle(study_of(counts, -means, sds))
+        assert flipped.phi == -mle.phi
+        assert flipped.sigmas == mle.sigmas
+
+        _, hessian = score_and_hessian(groups, mle)
+        assert np.all(np.linalg.eigvalsh(hessian) < 0.0)
+
+        ns = np.array(counts, dtype=float)
+        a = (ns - 1.0) * sds**2
+        def profile(phi):
+            return loglik(phi, profile_sigmas(phi, ns, means, a), ns, means, a)
+        best = profile(mle.phi)
+        # the drop a relative 1e-6 away is about n*1e-12/(1 + 2*phi^2); for
+        # |phi| above a few it falls under the rounding of the sum itself
+        slack = 1e-14 * (abs(best) + ns.sum())
+        for bump in (1.0 - 1e-6, 1.0 + 1e-6):
+            assert profile(mle.phi * bump) <= best + slack
 
 
 class TestVjInterval:

@@ -38,6 +38,7 @@ class TestSimConfig:
             dict(level=0.0),
             dict(methods=()),
             dict(methods=("tian",)),  # enums required, not strings
+            dict(mus=(-1.0, 1.0, 2.0)),  # sigma_i = phi*mu_i > 0 needs one sign
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -45,7 +46,7 @@ class TestSimConfig:
             config(**overrides)
 
     def test_negative_mus_allowed(self):
-        assert config(mus=(-1.0, 1.0, 2.0)).mus == (-1.0, 1.0, 2.0)
+        assert config(mus=(-1.0, -1.0, -2.0)).mus == (-1.0, -1.0, -2.0)
 
     def test_defaults(self):
         cfg = SimConfig(phi=0.05, mus=(1.0, 1.0), ns=(5, 5))
