@@ -5,7 +5,6 @@ coverage simulation harness."""
 
 from . import errors
 from .estimators import (
-    eta_hat,
     feltz_miller_estimate,
     group_cvs,
     log_likelihood,
@@ -43,9 +42,8 @@ from .pivotal import (
     new_method_draw,
     quantile,
     tian_draw,
-    variance_pivot_draw,
 )
-from .randgen import SeededStream, mix_components
+from .randgen import SeededStream
 from .simulate import ALL_METHODS, MethodPerformance, SimConfig, SimResult, run_grid, run_study
 
 __version__ = "0.1.0"
@@ -68,7 +66,6 @@ __all__ = [
     "combined_draw",
     "confidence_interval",
     "errors",
-    "eta_hat",
     "feltz_miller_estimate",
     "generate_draws",
     "gpq_interval",
@@ -77,7 +74,6 @@ __all__ = [
     "load_hospital_survival",
     "load_mcv_surveys",
     "log_likelihood",
-    "mix_components",
     "new_estimate",
     "new_method_draw",
     "newton_mle",
@@ -90,7 +86,6 @@ __all__ = [
     "summarize",
     "tian_draw",
     "validate_study",
-    "variance_pivot_draw",
     "vj_interval",
     "write_summary_csv",
 ]

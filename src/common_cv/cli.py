@@ -10,6 +10,7 @@ by an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -17,10 +18,10 @@ import sys
 from . import errors
 from .estimators import feltz_miller_estimate, group_cvs, new_estimate, newton_mle
 from .io import (
-    _parse_count,
-    _parse_float,
+    grid_header,
     load_hospital_survival,
     load_mcv_surveys,
+    read_grid_csv,
     read_raw_csv,
     read_summary_csv,
 )
@@ -139,18 +140,11 @@ def _group_rows(study: Study):
         yield {"group": label, "n": g.n, "mean": g.mean, "sd": g.sd, "cv": cv}
 
 
-def _print_group_table(study: Study):
-    print(f"{'group':<12} {'n':>5} {'mean':>12} {'sd':>12} {'cv':>10}")
-    for row in _group_rows(study):
-        print(
-            f"{row['group']:<12} {row['n']:>5} {row['mean']:>12.4f} "
-            f"{row['sd']:>12.4f} {row['cv']:>10.4f}"
-        )
-
-
 def _estimates(study: Study) -> dict:
+    """The group table and the three point estimates, as one JSON record."""
     mle = newton_mle(study)
     return {
+        "groups": list(_group_rows(study)),
         "feltz_miller": feltz_miller_estimate(study),
         "new": new_estimate(study),
         "mle": mle.phi,
@@ -158,17 +152,26 @@ def _estimates(study: Study) -> dict:
     }
 
 
-def _cmd_estimate(args) -> int:
-    study = _load_study(args)
-    est = _estimates(study)
-    if args.json:
-        print(json.dumps({"groups": list(_group_rows(study)), **est}))
-        return 0
-    _print_group_table(study)
+def _print_estimates(study: Study, est: dict):
+    print(f"{'group':<12} {'n':>5} {'mean':>12} {'sd':>12} {'cv':>10}")
+    for row in est["groups"]:
+        print(
+            f"{row['group']:<12} {row['n']:>5} {row['mean']:>12.4f} "
+            f"{row['sd']:>12.4f} {row['cv']:>10.4f}"
+        )
     print(f"\npooled estimates (k={study.k}, n={study.n}):")
     print(f"  feltz_miller  {est['feltz_miller']:.6f}")
     print(f"  new           {est['new']:.6f}")
     print(f"  mle           {est['mle']:.6f}")
+
+
+def _cmd_estimate(args) -> int:
+    study = _load_study(args)
+    est = _estimates(study)
+    if args.json:
+        print(json.dumps(est))
+    else:
+        _print_estimates(study, est)
     return 0
 
 
@@ -230,57 +233,27 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _read_grid(path, reps, draws, level, methods, seed) -> list[SimConfig]:
-    import csv as _csv
-    from pathlib import Path
-
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    rows = list(_csv.reader(text.splitlines()))
-    if not rows:
-        raise errors.MalformedHeaderError("empty grid file")
-    header = [h.strip() for h in rows[0]]
-    if not header or header[0] != "phi" or len(header) % 2 == 0:
-        raise errors.MalformedHeaderError(f"expected header phi,mu1..muK,n1..nK, got {','.join(header)!r}")
-    k = (len(header) - 1) // 2
-    expected = ["phi"] + [f"mu{i + 1}" for i in range(k)] + [f"n{i + 1}" for i in range(k)]
-    if header != expected:
-        raise errors.MalformedHeaderError(f"expected header {','.join(expected)!r}, got {','.join(header)!r}")
-    configs = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise errors.ValidationError(f"grid row {row!r} does not match the header")
-        phi = _parse_float(row[0], lineno)
-        mus = tuple(_parse_float(v, lineno) for v in row[1 : k + 1])
-        ns = tuple(_parse_count(v, lineno) for v in row[k + 1 :])
-        configs.append(
-            SimConfig(
-                phi=phi, mus=mus, ns=ns, reps=reps, m=draws,
-                level=level, methods=methods, master_seed=seed,
-            )
-        )
-    return configs
-
-
 def _cmd_simulate(args) -> int:
-    import csv as _csv
-
     _check_level(args.level)
     seed = _resolve_seed(args)
     methods = _resolve_methods(args.method)
-    configs = _read_grid(args.config, args.reps, args.draws, args.level, methods, seed)
+    configs = [
+        SimConfig(
+            phi=phi, mus=mus, ns=ns, reps=args.reps, m=args.draws,
+            level=args.level, methods=methods, master_seed=seed,
+        )
+        for phi, mus, ns in read_grid_csv(sys.stdin if args.config == "-" else args.config)
+    ]
     results = run_grid(configs)
 
     k = len(configs[0].mus) if configs else 0
-    header = (
-        ["phi"] + [f"mu{i + 1}" for i in range(k)] + [f"n{i + 1}" for i in range(k)]
-        + ["reps", "draws", "level", "seed", "method", "coverage", "avg_length", "failures", "error"]
-    )
+    header = grid_header(k) + [
+        "reps", "draws", "level", "seed", "method", "coverage", "avg_length", "failures", "error"
+    ]
     own = args.out != "-"
     fh = open(args.out, "w", newline="") if own else sys.stdout
     try:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for res in results:
             cfg = res.config
@@ -312,23 +285,11 @@ def _cmd_examples(args) -> int:
             confidence_interval(study, method, 0.95, args.draws, seed) for method in ALL_METHODS
         ]
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "dataset": name,
-                        "groups": list(_group_rows(study)),
-                        **est,
-                        "intervals": [_interval_record(iv) for iv in intervals],
-                    }
-                )
-            )
+            intervals = [_interval_record(iv) for iv in intervals]
+            print(json.dumps({"dataset": name, **est, "intervals": intervals}))
             continue
         print(f"=== {name} ===")
-        _print_group_table(study)
-        print(f"\npooled estimates (k={study.k}, n={study.n}):")
-        print(f"  feltz_miller  {est['feltz_miller']:.6f}")
-        print(f"  new           {est['new']:.6f}")
-        print(f"  mle           {est['mle']:.6f}")
+        _print_estimates(study, est)
         print("\n95% confidence intervals:")
         for iv in intervals:
             _print_interval(iv)

@@ -40,10 +40,6 @@ class InvalidDfError(ValidationError):
     """Chi-square degrees of freedom must be an integer >= 1."""
 
 
-class NonPositiveChiSquareError(ValidationError):
-    """A chi-square realization must be strictly positive."""
-
-
 class MalformedHeaderError(ValidationError):
     """CSV header does not match the documented format."""
 

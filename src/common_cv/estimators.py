@@ -26,38 +26,24 @@ from scipy.stats import norm
 from .errors import (
     DegenerateDenominatorError,
     NoConvergenceError,
-    NonPositiveSigmaError,
     ValidationError,
 )
-from .model import IntervalResult, Method, ParameterVector, SampleSummary, Study
+from .model import IntervalResult, Method, ParameterVector, SampleSummary, Study, group_arrays
 
 _PHI_MAX = 1e6  # largest |phi| searched for the MLE
 _EPS = float(np.finfo(float).eps)
 _XTOL = float(np.finfo(float).tiny)
 
 
-def _groups(study: Study | Sequence[SampleSummary]) -> tuple[SampleSummary, ...]:
-    if isinstance(study, Study):
-        return study.groups
-    return tuple(study)
-
-
-def _stats(study) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    groups = _groups(study)
-    ns = np.array([g.n for g in groups], dtype=float)
-    means = np.array([g.mean for g in groups], dtype=float)
-    sds = np.array([g.sd for g in groups], dtype=float)
-    return ns, means, sds
-
-
 def group_cvs(study: Study | Sequence[SampleSummary]) -> np.ndarray:
     """Per-group sample coefficients of variation sd_i/mean_i."""
-    return np.array([g.cv for g in _groups(study)])
+    g = group_arrays(study)
+    return g.sds / g.means
 
 
 def feltz_miller_estimate(study: Study | Sequence[SampleSummary]) -> float:
     """Pooled CV as the size-weighted arithmetic mean of group CVs."""
-    ns, means, sds = _stats(study)
+    ns, means, sds, _ = group_arrays(study)
     return float(np.sum(ns * (sds / means)) / np.sum(ns))
 
 
@@ -67,23 +53,11 @@ def new_estimate(study: Study | Sequence[SampleSummary]) -> float:
     Equals n / sum_i(n_i * mean_i/sd_i); errors if the weighted sum of
     inverse CVs cancels to exactly zero (possible with mixed-sign means).
     """
-    ns, means, sds = _stats(study)
+    ns, means, sds, _ = group_arrays(study)
     denom = float(np.sum(ns * (means / sds)))
     if denom == 0.0:
         raise DegenerateDenominatorError("weighted inverse CVs sum to zero")
     return float(np.sum(ns)) / denom
-
-
-def eta_hat(study: Study | Sequence[SampleSummary], sigmas: Sequence[float]) -> float:
-    """Estimate of the inverse CV 1/phi when the sigmas are treated as known:
-    sum_i (n_i/sigma_i) * mean_i / n."""
-    ns, means, _ = _stats(study)
-    sig = np.asarray(sigmas, dtype=float)
-    if sig.shape != ns.shape:
-        raise ValidationError(f"expected {len(ns)} sigmas, got {sig.size}")
-    if np.any(sig <= 0.0) or not np.all(np.isfinite(sig)):
-        raise NonPositiveSigmaError("sigmas must be finite and positive")
-    return float(np.sum(ns * means / sig) / np.sum(ns))
 
 
 def _theta_arrays(theta: ParameterVector | tuple) -> tuple[float, np.ndarray]:
@@ -98,7 +72,7 @@ class _Likelihood:
     Hessian as plain-array evaluations (no per-call Study traversal)."""
 
     def __init__(self, study):
-        self.ns, self.means, self.sds = _stats(study)
+        self.ns, self.means, self.sds, _ = group_arrays(study)
         self.a = (self.ns - 1.0) * self.sds**2
         self.constant = 0.5 * float(self.ns.sum()) * math.log(2.0 * math.pi)
 
@@ -163,7 +137,7 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     with mixed signs the upper end is quadrupled until h < 0.  Raises
     NoConvergenceError if h stays positive up to |phi| = 1e6.
     """
-    ns, means, sds = _stats(study)
+    ns, means, sds, _ = group_arrays(study)
     sign = math.copysign(1.0, new_estimate(study))
     q = (ns - 1.0) * sds**2 / (ns * means**2)
     same = sign * means > 0.0

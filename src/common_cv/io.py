@@ -7,6 +7,9 @@ as the decimal separator:
                      groups ordered by first appearance
   summaries          header ``group,n,mean,sd``; one group per row
 
+Simulation grids (header ``phi,mu1..muK,n1..nK``, one cell per row) are
+read by the same row reader.
+
 Group labels are arbitrary nonempty strings.  Values must parse as finite
 numbers, and n as an integer >= 2.
 """
@@ -31,16 +34,23 @@ SUMMARY_HEADER = ["group", "n", "mean", "sd"]
 
 
 def _rows(source, expected_header):
+    """Yield (line number, stripped fields) for each nonblank data row.
+
+    ``expected_header`` is the header list, or a function from the file's
+    header to the list it must equal (for layouts of varying width).
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text()
     reader = csv.reader(text.splitlines())
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise MalformedHeaderError("empty input, expected a header row") from None
-    if [h.strip() for h in header] != expected_header:
+    if callable(expected_header):
+        expected_header = expected_header(header)
+    if header != expected_header:
         raise MalformedHeaderError(
             f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
         )
@@ -49,7 +59,8 @@ def _rows(source, expected_header):
             continue  # ignore blank lines
         if len(row) != len(expected_header):
             raise ValidationError(
-                f"line {lineno}: expected {len(expected_header)} fields, got {len(row)}"
+                f"line {lineno}: expected {len(expected_header)} fields, got {len(row)}; "
+                "the row does not match the header"
             )
         yield lineno, [f.strip() for f in row]
 
@@ -95,6 +106,24 @@ def read_summary_csv(source) -> Study:
         sd = _parse_float(sd_field, lineno)
         groups.append(SampleSummary(n=n, mean=mean, sd=sd, label=label))
     return validate_study(groups)
+
+
+def grid_header(k: int) -> list[str]:
+    """Header of a simulation grid with k groups: phi,mu1..muK,n1..nK."""
+    return ["phi", *(f"mu{i + 1}" for i in range(k)), *(f"n{i + 1}" for i in range(k))]
+
+
+def read_grid_csv(source) -> list[tuple[float, tuple[float, ...], tuple[int, ...]]]:
+    """Parse ``phi,mu1..muK,n1..nK`` rows into (phi, mus, ns) cells."""
+    cells = []
+    for lineno, fields in _rows(source, lambda header: grid_header((len(header) - 1) // 2)):
+        k = (len(fields) - 1) // 2
+        cells.append((
+            _parse_float(fields[0], lineno),
+            tuple(_parse_float(v, lineno) for v in fields[1 : k + 1]),
+            tuple(_parse_count(v, lineno) for v in fields[k + 1 :]),
+        ))
+    return cells
 
 
 def write_summary_csv(study: Study, dest) -> None:

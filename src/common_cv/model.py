@@ -12,7 +12,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     NonPositiveSigmaError,
@@ -106,6 +108,25 @@ class Study:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(g.label or f"group{i + 1}" for i, g in enumerate(self.groups))
+
+
+class GroupArrays(NamedTuple):
+    """Per-group statistics as float arrays; ``dfs`` is n_i - 1."""
+
+    ns: np.ndarray
+    means: np.ndarray
+    sds: np.ndarray
+    dfs: np.ndarray
+
+
+def group_arrays(study: Study | Sequence[SampleSummary]) -> GroupArrays:
+    """Array view of a Study, or of any sequence of SampleSummary (even a
+    single group)."""
+    groups = study.groups if isinstance(study, Study) else tuple(study)
+    ns = np.array([g.n for g in groups], dtype=float)
+    means = np.array([g.mean for g in groups], dtype=float)
+    sds = np.array([g.sd for g in groups], dtype=float)
+    return GroupArrays(ns, means, sds, ns - 1.0)
 
 
 @dataclass(frozen=True)

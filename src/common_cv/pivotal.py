@@ -16,6 +16,9 @@ D_i = r_i*sqrt(U_i/(n_i-1)) - Z_i/sqrt(n_i):
     new:       weighted harmonic counterpart:  n / sum_i n_i*D_i
     combined:  the plain average of the two
 
+All three come from the same D: the engine builds it once per block of
+replicates and derives every pivot from it.
+
 The new pivot is often written with a single standard normal Z against the
 pooled rate, n / (sum_i n_i*sqrt(U_i/(n_i-1))*r_i - sqrt(n)*Z).  That Z
 stands for the standardized deviation of the pooled inverse-CV estimate,
@@ -24,10 +27,12 @@ Realizing Z this way leaves the new pivot's own distribution unchanged (an
 independent draw would too) but fixes the joint distribution of the two
 pivots, which is what the combined average depends on.
 
-Replicates whose denominator is exactly zero (or whose value is not
-finite) are regenerated from a per-replicate sub-stream and counted in
-``rejected``; results are therefore independent of how replicates are
-scheduled.  Draws can be negative: the pivotal distributions have heavy
+A replicate whose value is not finite (an exactly zero denominator, or
+overflow) is degenerate for that method.  It is regenerated from a
+per-replicate sub-stream and counted in ``rejected``; results are
+therefore independent of how replicates are scheduled.  Degeneracy is
+judged per method, and so is failure: a method whose degenerate draws
+exceed 1%, or whose replicate stays degenerate, fails alone.  Draws can be negative: the pivotal distributions have heavy
 tails when any group's mean/sd ratio is small, and no truncation is
 applied.
 """
@@ -43,22 +48,25 @@ import numpy as np
 from .errors import (
     DegenerateDenominatorError,
     DegenerateRateError,
-    NonPositiveChiSquareError,
+    NumericalError,
     ValidationError,
 )
 from .estimators import vj_interval
 from .model import (
     Alternative,
+    GroupArrays,
     IntervalResult,
     Method,
     PIVOTAL_METHODS,
     SampleSummary,
     Study,
     TestResult,
+    group_arrays,
 )
 from .randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream
 
 _MIN_DRAWS = 100
+_MAX_DRAWS = 10**7  # one float array and one mask per method: about 90 MB each
 _BLOCK = 1 << 15
 _MAX_RESAMPLE_ATTEMPTS = 1000
 _MAX_REJECTED_FRACTION = 0.01
@@ -82,89 +90,57 @@ class PivotalDraws:
         return int(self.values.size)
 
 
-def _groups(study: Study | Sequence[SampleSummary]) -> tuple[SampleSummary, ...]:
-    if isinstance(study, Study):
-        return study.groups
-    return tuple(study)
+def _variates(stream: SeededStream, dfs: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """One block of the base layout: (b, k) chi-squares and normals.  The
+    spare normal of each replicate is drawn but no pivot uses it."""
+    u = stream.chi_square(dfs, size=(b, dfs.size))
+    zg = stream.standard_normal((b, dfs.size))
+    stream.standard_normal(b)
+    return u, zg
 
 
-def variance_pivot_draw(summary: SampleSummary, u: float) -> float:
-    """Pivotal draw for one group variance: (n-1)*sd^2 / u, u ~ chi2(n-1)."""
-    if u <= 0.0:
-        raise NonPositiveChiSquareError(f"chi-square realization must be positive, got {u}")
-    return (summary.n - 1) * summary.variance / u
+def _pivot_values(groups: GroupArrays, u: np.ndarray, zg: np.ndarray) -> dict:
+    """All three pivots from one D per replicate.
+
+    u and zg are (b, k) arrays; returns {method: (values, degenerate_mask)},
+    both of length b.  A value is degenerate when it is not finite, which
+    includes every zero denominator.
+    """
+    ns, means, sds, dfs = groups
+    d = means / sds * np.sqrt(u / dfs) - zg / np.sqrt(ns)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tian = np.sum(dfs / d, axis=1) / dfs.sum()
+        new = ns.sum() / np.sum(ns * d, axis=1)
+        combined = 0.5 * (tian + new)
+    return {
+        method: (vals, ~np.isfinite(vals))
+        for method, vals in ((Method.TIAN, tian), (Method.NEW, new), (Method.COMBINED, combined))
+    }
 
 
-class _DrawContext:
-    """Precomputed study constants shared by all draw formulas."""
-
-    def __init__(self, study):
-        groups = _groups(study)
-        self.k = len(groups)
-        self.ns = np.array([g.n for g in groups], dtype=float)
-        self.dfs_int = np.array([g.n - 1 for g in groups])
-        self.dfs = self.dfs_int.astype(float)
-        self.ratios = np.array([g.mean / g.sd for g in groups])
-        self.sqrt_ns = np.sqrt(self.ns)
-        self.total_n = float(self.ns.sum())
-        self.sqrt_total = math.sqrt(self.total_n)
-        self.wsum = float(self.dfs.sum())
-
-    def tian_values(self, u, zg):
-        # u, zg: (b, k) arrays -> (values, degenerate_mask), both length b.
-        d = self.ratios * np.sqrt(u / self.dfs) - zg / self.sqrt_ns
-        bad = np.any(d == 0.0, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = np.sum(self.dfs / d, axis=1) / self.wsum
-        return vals, bad | ~np.isfinite(vals)
-
-    def new_values(self, u, z_common):
-        den = np.sum(self.ns * np.sqrt(u / self.dfs) * self.ratios, axis=1) - self.sqrt_total * z_common
-        bad = den == 0.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = self.total_n / den
-        return vals, bad | ~np.isfinite(vals)
-
-    def pooled_z(self, zg):
-        # sqrt(n) times the pooled-estimate deviation, written in the
-        # per-group normals: sum_i sqrt(n_i)*Z_i / sqrt(n).
-        return zg @ self.sqrt_ns / self.sqrt_total
-
-    def method_values(self, method, u, zg, z0):
-        # z0 is the layout's spare normal; no current formula consumes it.
-        if method is Method.TIAN:
-            return self.tian_values(u, zg)
-        if method is Method.NEW:
-            return self.new_values(u, self.pooled_z(zg))
-        if method is Method.COMBINED:
-            t, t_bad = self.tian_values(u, zg)
-            s, s_bad = self.new_values(u, self.pooled_z(zg))
-            vals = 0.5 * (t + s)
-            return vals, t_bad | s_bad | ~np.isfinite(vals)
-        raise ValidationError(f"not a pivotal method: {method}")
+def _single_draw(groups: GroupArrays, method: Method, u, z) -> float:
+    vals, bad = _pivot_values(groups, np.atleast_2d(u), np.atleast_2d(z))[method]
+    if bad[0]:
+        raise DegenerateDenominatorError("pivotal draw is not finite (zero denominator or overflow)")
+    return float(vals[0])
 
 
 def tian_draw(study: Study | Sequence[SampleSummary], u: Sequence[float], z: Sequence[float]) -> float:
     """One draw of the group-weighted pivotal (weights n_i - 1)."""
-    ctx = _DrawContext(study)
-    vals, bad = ctx.tian_values(np.atleast_2d(np.asarray(u, float)), np.atleast_2d(np.asarray(z, float)))
-    if bad[0]:
-        raise DegenerateDenominatorError("zero denominator in pivotal draw")
-    return float(vals[0])
+    return _single_draw(group_arrays(study), Method.TIAN, u, z)
 
 
 def new_method_draw(study: Study | Sequence[SampleSummary], u: Sequence[float], z_common: float) -> float:
     """One draw of the pooled inverse-CV pivotal.
 
-    z_common is the standard normal attached to the pooled estimate; to
-    pair a draw with per-group normals z_i (as the engine does), pass
-    sum_i sqrt(n_i)*z_i / sqrt(n).
+    z_common is the standard normal attached to the pooled estimate; it
+    enters as per-group normals z_i = z_common*sqrt(n_i)/sqrt(n), for which
+    sum_i sqrt(n_i)*z_i = sqrt(n)*z_common.  To pair a draw with given z_i
+    (as the engine does), pass sum_i sqrt(n_i)*z_i / sqrt(n).
     """
-    ctx = _DrawContext(study)
-    vals, bad = ctx.new_values(np.atleast_2d(np.asarray(u, float)), np.asarray([z_common], float))
-    if bad[0]:
-        raise DegenerateDenominatorError("zero denominator in pivotal draw")
-    return float(vals[0])
+    groups = group_arrays(study)
+    z = z_common * np.sqrt(groups.ns) / math.sqrt(groups.ns.sum())
+    return _single_draw(groups, Method.NEW, u, z)
 
 
 def combined_draw(tian_value: float, new_value: float) -> float:
@@ -172,61 +148,66 @@ def combined_draw(tian_value: float, new_value: float) -> float:
     return 0.5 * (tian_value + new_value)
 
 
+def _resample(groups, method, base, rows, values):
+    """Regenerate each listed degenerate replicate of ``values`` from the
+    sub-stream keyed by its index until it is finite.  Returns (draws
+    made, error or None)."""
+    m, count = values.size, 0
+    for r in rows:
+        stream = base.substream(ROLE_RESAMPLE, int(r))
+        for _ in range(_MAX_RESAMPLE_ATTEMPTS):
+            count += 1
+            vals, bad = _pivot_values(groups, *_variates(stream, groups.dfs, 1))[method]
+            if not bad[0]:
+                values[r] = vals[0]
+                break
+        else:
+            return count, DegenerateRateError(
+                f"replicate {int(r)} stayed degenerate after {_MAX_RESAMPLE_ATTEMPTS} attempts"
+            )
+    if count and count / (m + count) >= _MAX_REJECTED_FRACTION:
+        return count, DegenerateRateError(
+            f"{count} degenerate draws out of {m + count} attempts; data look pathological"
+        )
+    return count, None
+
+
 def _pivot_value_arrays(study, methods, m, seed):
     """Shared engine: m draws per requested method from one base layout.
 
-    Returns ({method: values}, {method: rejected_count}).  Per-method
-    degenerate replicates are regenerated independently, each from the
-    sub-stream keyed by its replicate index, so a method's output is
-    identical whether it is computed alone or alongside others.
+    Returns ({method: values}, {method: rejected_count}).  A method whose
+    draws failed maps to its NumericalError instead of an array, and the
+    other methods are unaffected.  Per-method degenerate replicates are
+    regenerated independently, each from the sub-stream keyed by its
+    replicate index, so a method's output is identical whether it is
+    computed alone or alongside others.  The rejected count is the number
+    of regenerated replicates drawn, also for a method that failed.
     """
     if m < _MIN_DRAWS:
         raise ValidationError(f"need at least {_MIN_DRAWS} draws, got {m}")
+    if m > _MAX_DRAWS:
+        raise ValidationError(f"at most {_MAX_DRAWS} draws are supported, got {m}")
     for method in methods:
         if method not in PIVOTAL_METHODS:
             raise ValidationError(f"not a pivotal method: {method}")
-    ctx = _DrawContext(study)
+    groups = group_arrays(study)
     base = SeededStream(seed)
 
     values = {method: np.empty(m) for method in methods}
     bad_masks = {method: np.empty(m, dtype=bool) for method in methods}
-
     for start in range(0, m, _BLOCK):
         stop = min(start + _BLOCK, m)
-        b = stop - start
         stream = base.substream(ROLE_PIVOT_BLOCK, start // _BLOCK)
-        u = stream.chi_square(ctx.dfs_int, size=(b, ctx.k))
-        zg = stream.standard_normal((b, ctx.k))
-        z0 = stream.standard_normal(b)
+        pivots = _pivot_values(groups, *_variates(stream, groups.dfs, stop - start))
         for method in methods:
-            vals, bad = ctx.method_values(method, u, zg, z0)
-            values[method][start:stop] = vals
-            bad_masks[method][start:stop] = bad
+            values[method][start:stop], bad_masks[method][start:stop] = pivots[method]
 
     rejected = {}
     for method in methods:
-        count = 0
-        for r in np.nonzero(bad_masks[method])[0]:
-            stream = base.substream(ROLE_RESAMPLE, int(r))
-            for _ in range(_MAX_RESAMPLE_ATTEMPTS):
-                u = stream.chi_square(ctx.dfs_int, size=(1, ctx.k))
-                zg = stream.standard_normal((1, ctx.k))
-                z0 = stream.standard_normal(1)
-                vals, bad = ctx.method_values(method, u, zg, z0)
-                if not bad[0]:
-                    values[method][r] = vals[0]
-                    break
-                count += 1
-            else:
-                raise DegenerateRateError(
-                    f"replicate {int(r)} stayed degenerate after {_MAX_RESAMPLE_ATTEMPTS} attempts"
-                )
-            count += 1  # the original degenerate draw
-        if count and count / (m + count) >= _MAX_REJECTED_FRACTION:
-            raise DegenerateRateError(
-                f"{count} degenerate draws out of {m + count} attempts; data look pathological"
-            )
-        rejected[method] = count
+        rows = np.nonzero(bad_masks[method])[0]
+        rejected[method], error = _resample(groups, method, base, rows, values[method])
+        if error is not None:
+            values[method] = error
     return values, rejected
 
 
@@ -237,6 +218,8 @@ def generate_draws(study: Study | Sequence[SampleSummary], method: Method, m: in
     share the underlying chi-square/normal variates.
     """
     values, rejected = _pivot_value_arrays(study, (method,), m, seed)
+    if isinstance(values[method], NumericalError):
+        raise values[method]
     return PivotalDraws(method=method, values=values[method], seed=seed, rejected=rejected[method])
 
 

@@ -2,26 +2,29 @@
 
 Each replication draws one synthetic study (group i gets n_i observations
 from Normal(mu_i, (phi*mu_i)^2)), builds every requested interval on it,
-and records containment of the true phi and the interval length.  All
-methods see the same datasets, so differences between methods are not
-Monte Carlo noise.  Per-replication randomness is derived from
-(master_seed, cell_index, replication_index), which makes every cell and
-every replication individually reproducible and independent of execution
-order.
+and records the interval length and whether it contains the true CV: phi,
+or -phi when the means are negative.  All methods see the same datasets,
+so differences between methods are not Monte Carlo noise.
+Per-replication randomness is derived from (master_seed, cell_index,
+replication_index), which makes every cell and every replication
+individually reproducible and independent of execution order.
 
 A method failing on one replication (no likelihood maximum found,
 degenerate draw rate) is counted in ``failures`` and excluded from that
-method's denominator; it never aborts the study.
+method's denominator; it never aborts the study, and the pivotal methods
+fail one by one, so the others keep their results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import NumericalError, ValidationError
 from .estimators import vj_interval
 from .model import Method, PIVOTAL_METHODS, Study, summarize
-from .pivotal import _pivot_value_arrays, generate_draws, quantile
+# generate_draws is not called here; perfbench/tracer.py wraps this binding.
+from .pivotal import _pivot_value_arrays, generate_draws, quantile  # noqa: F401
 from .randgen import ROLE_SIM_DATA, ROLE_SIM_PIVOTS, SeededStream, mix_components
 
 ALL_METHODS = (Method.TIAN, Method.VERRILL_JOHNSON, Method.NEW, Method.COMBINED)
@@ -95,9 +98,11 @@ def run_study(config: SimConfig, cell_index: int = 0) -> SimResult:
     """Estimate coverage and average length for one cell.
 
     Coverage is the fraction of non-failed replications whose closed
-    interval contains the true phi.
+    interval contains the true CV.
     """
     root = SeededStream(config.master_seed)
+    # Data drawn with negative means have CV -phi.
+    target = math.copysign(config.phi, config.mus[0])
     gpq_methods = tuple(m for m in config.methods if m in PIVOTAL_METHODS)
     alpha = 1.0 - config.level
 
@@ -116,21 +121,14 @@ def run_study(config: SimConfig, cell_index: int = 0) -> SimResult:
 
         if gpq_methods:
             pivot_seed = mix_components(config.master_seed, ROLE_SIM_PIVOTS, cell_index, r)
-            per_method = {}
-            try:
-                values, _ = _pivot_value_arrays(study, gpq_methods, config.m, pivot_seed)
-                per_method = {m: values[m] for m in gpq_methods}
-            except NumericalError:
-                # Retry one method at a time so only the culprit is counted.
-                for m in gpq_methods:
-                    try:
-                        per_method[m] = generate_draws(study, m, config.m, pivot_seed).values
-                    except NumericalError:
-                        failures[m] += 1
-            for m, vals in per_method.items():
+            values, _ = _pivot_value_arrays(study, gpq_methods, config.m, pivot_seed)
+            for m, vals in values.items():
+                if isinstance(vals, NumericalError):
+                    failures[m] += 1
+                    continue
                 lower = quantile(vals, alpha / 2.0)
                 upper = quantile(vals, 1.0 - alpha / 2.0)
-                if lower <= config.phi <= upper:
+                if lower <= target <= upper:
                     covered[m] += 1
                 length_sum[m] += upper - lower
 
@@ -140,7 +138,7 @@ def run_study(config: SimConfig, cell_index: int = 0) -> SimResult:
             except NumericalError:
                 failures[Method.VERRILL_JOHNSON] += 1
             else:
-                if interval.contains(config.phi):
+                if interval.contains(target):
                     covered[Method.VERRILL_JOHNSON] += 1
                 length_sum[Method.VERRILL_JOHNSON] += interval.length
 

@@ -14,7 +14,7 @@ import pytest
 from common_cv.cli import main
 from common_cv.estimators import feltz_miller_estimate, new_estimate, newton_mle
 from common_cv.model import Method
-from common_cv.pivotal import confidence_interval
+from common_cv.pivotal import _MAX_DRAWS, confidence_interval
 
 SURVEYS_PATH = str(resources.files("common_cv").joinpath("data").joinpath("mcv_surveys.csv"))
 HOSPITAL_PATH = str(resources.files("common_cv").joinpath("data").joinpath("hospital_survival.csv"))
@@ -199,6 +199,14 @@ class TestCi:
         assert code == 1
         assert "invalid input" in err
 
+    def test_too_many_draws(self, capsys):
+        # rejected before anything is allocated
+        code, _, err = run(
+            capsys, "ci", "--input", SURVEYS_PATH, "--summary", "--draws", str(_MAX_DRAWS + 1)
+        )
+        assert code == 1
+        assert "invalid input" in err and "draws" in err
+
 
 class TestTest:
     def test_pivotal_methods_only(self, capsys):
@@ -361,6 +369,17 @@ class TestSimulate:
         code, out, err = run(
             capsys, "simulate", "--config", write_grid(tmp_path),
             "--reps", "3", "--draws", "50",
+        )
+        assert code == 0 and err == ""
+        body = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(body) == 1
+        assert body[0][9:13] == ["", "", "", ""]
+        assert "draws" in body[0][13]
+
+    def test_draw_cap_becomes_error_row(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "simulate", "--config", write_grid(tmp_path),
+            "--reps", "3", "--draws", str(_MAX_DRAWS + 1),
         )
         assert code == 0 and err == ""
         body = list(csv.reader(io.StringIO(out)))[1:]

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from common_cv.errors import NoConvergenceError, NonPositiveSigmaError, ValidationError
+from common_cv.errors import NoConvergenceError, ValidationError
 from common_cv.estimators import (
-    eta_hat,
     feltz_miller_estimate,
     group_cvs,
     log_likelihood,
@@ -97,30 +96,6 @@ class TestPooledEstimates:
         new = new_estimate(groups)
         eps = 1e-12 * max(cvs)
         assert min(cvs) - eps <= new <= fm + eps <= max(cvs) + 2 * eps
-
-
-class TestEtaHat:
-    def test_single_group_reduction(self):
-        groups = [SampleSummary(n=8, mean=12.0, sd=3.0)]
-        assert eta_hat(groups, [3.0]) == pytest.approx(4.0, rel=1e-14)
-
-    def test_reciprocal_of_new_estimate(self, hospital):
-        sds = [g.sd for g in hospital]
-        assert eta_hat(hospital, sds) == pytest.approx(1.0 / new_estimate(hospital), rel=1e-13)
-        assert round(eta_hat(hospital, sds), 4) == 1.6004
-
-    def test_homogeneous(self, toy_study):
-        sigmas = [1.5, 2.5]
-        doubled = [SampleSummary(n=g.n, mean=2.0 * g.mean, sd=g.sd) for g in toy_study]
-        assert eta_hat(doubled, [2.0 * s for s in sigmas]) == pytest.approx(
-            eta_hat(toy_study, sigmas), rel=1e-13
-        )
-
-    def test_rejects_bad_sigmas(self, toy_study):
-        with pytest.raises(NonPositiveSigmaError):
-            eta_hat(toy_study, [1.0, 0.0])
-        with pytest.raises(ValidationError):
-            eta_hat(toy_study, [1.0])
 
 
 class TestLogLikelihood:

@@ -1,20 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from common_cv.errors import (
-    DegenerateDenominatorError,
-    DegenerateRateError,
-    NonPositiveChiSquareError,
-    ValidationError,
-)
+from common_cv import pivotal
+from common_cv.errors import DegenerateDenominatorError, DegenerateRateError, ValidationError
 from common_cv.model import Alternative, Method, SampleSummary, Study
 from common_cv.pivotal import (
+    _MAX_DRAWS,
     PivotalDraws,
-    _DrawContext,
+    _pivot_value_arrays,
     combined_draw,
     confidence_interval,
     generate_draws,
@@ -23,7 +18,6 @@ from common_cv.pivotal import (
     new_method_draw,
     quantile,
     tian_draw,
-    variance_pivot_draw,
 )
 from common_cv.randgen import SeededStream
 
@@ -42,21 +36,6 @@ HOSPITAL_ORACLE = {
 
 
 class TestVariancePivot:
-    def test_chi_square_at_its_df(self):
-        s = SampleSummary(n=5, mean=168.0, sd=math.sqrt(6880.5))
-        assert variance_pivot_draw(s, 4.0) == pytest.approx(6880.5, rel=1e-12)
-
-    def test_decreasing_in_u(self):
-        s = SampleSummary(n=5, mean=10.0, sd=2.0)
-        assert variance_pivot_draw(s, 8.0) < variance_pivot_draw(s, 2.0)
-        assert variance_pivot_draw(s, 1e9) < 1e-6
-
-    def test_rejects_nonpositive_u(self):
-        s = SampleSummary(n=5, mean=10.0, sd=2.0)
-        for u in (0.0, -1.0):
-            with pytest.raises(NonPositiveChiSquareError):
-                variance_pivot_draw(s, u)
-
     def test_median_against_chi_square_median(self):
         s = SampleSummary(n=5, mean=10.0, sd=2.0)
         u = SeededStream(77).chi_square(4, 10**6)
@@ -148,6 +127,11 @@ class TestGenerateDraws:
             generate_draws(surveys, Method.NEW, 99, seed=0)
         assert generate_draws(surveys, Method.NEW, 100, seed=0).m == 100
 
+    def test_maximum_draws(self, surveys):
+        # checked before anything is allocated
+        with pytest.raises(ValidationError, match="draws"):
+            generate_draws(surveys, Method.NEW, _MAX_DRAWS + 1, seed=0)
+
     def test_rejects_non_pivotal_method(self, surveys):
         with pytest.raises(ValidationError):
             generate_draws(surveys, Method.VERRILL_JOHNSON, 1000, seed=0)
@@ -186,38 +170,52 @@ class TestGenerateDraws:
 
 class TestDegenerateHandling:
     @staticmethod
-    def _flag_first_rows(fraction):
-        original = _DrawContext.method_values
+    def _flag_first_rows(fraction, methods=(Method.TIAN, Method.NEW, Method.COMBINED)):
+        original = pivotal._pivot_values
 
-        def patched(self, method, u, zg, z0):
-            vals, bad = original(self, method, u, zg, z0)
-            b = len(vals)
+        def patched(groups, u, zg):
+            pivots = original(groups, u, zg)
+            b = len(u)
             if b > 1:  # block pass only; leave resampling attempts clean
-                bad = bad.copy()
-                bad[: max(1, int(fraction * b))] = True
-            return vals, bad
+                for method in methods:
+                    vals, bad = pivots[method]
+                    bad = bad.copy()
+                    bad[: max(1, int(fraction * b))] = True
+                    pivots[method] = vals, bad
+            return pivots
 
         return patched
 
     def test_resampled_draws_counted(self, surveys, monkeypatch):
-        monkeypatch.setattr(_DrawContext, "method_values", self._flag_first_rows(0.005))
+        monkeypatch.setattr(pivotal, "_pivot_values", self._flag_first_rows(0.005))
         draws = generate_draws(surveys, Method.NEW, 2000, seed=0)
         assert draws.rejected == 10
         assert np.all(np.isfinite(draws.values))
 
     def test_rate_error_above_one_percent(self, surveys, monkeypatch):
-        monkeypatch.setattr(_DrawContext, "method_values", self._flag_first_rows(0.02))
+        monkeypatch.setattr(pivotal, "_pivot_values", self._flag_first_rows(0.02))
         with pytest.raises(DegenerateRateError):
             generate_draws(surveys, Method.NEW, 2000, seed=0)
 
     def test_unrecoverable_replicate(self, surveys, monkeypatch):
-        def always_bad(self, method, u, zg, z0):
+        def always_bad(groups, u, zg):
             vals = np.zeros(len(u))
-            return vals, np.ones(len(u), dtype=bool)
+            return {method: (vals, np.ones(len(u), dtype=bool)) for method in Method}
 
-        monkeypatch.setattr(_DrawContext, "method_values", always_bad)
+        monkeypatch.setattr(pivotal, "_pivot_values", always_bad)
         with pytest.raises(DegenerateRateError):
             generate_draws(surveys, Method.NEW, 100, seed=0)
+
+    def test_failure_is_per_method(self, surveys, monkeypatch):
+        methods = (Method.TIAN, Method.NEW, Method.COMBINED)
+        clean, _ = _pivot_value_arrays(surveys, methods, 2000, seed=0)
+        monkeypatch.setattr(pivotal, "_pivot_values", self._flag_first_rows(0.02, (Method.NEW,)))
+        values, rejected = _pivot_value_arrays(surveys, methods, 2000, seed=0)
+        assert isinstance(values[Method.NEW], DegenerateRateError)
+        # the regenerated replicates of the failed method are still counted
+        assert rejected == {Method.TIAN: 0, Method.NEW: 40, Method.COMBINED: 0}
+        for method in (Method.TIAN, Method.COMBINED):
+            assert np.array_equal(values[method], clean[method])
 
 
 class TestQuantile:

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from common_cv import simulate
+from common_cv import pivotal, simulate
 from common_cv.errors import NumericalError, ValidationError
 from common_cv.model import Method
 from common_cv.simulate import (
@@ -100,19 +101,23 @@ class TestRunStudy:
         assert a.performance[Method.NEW] != b.performance[Method.NEW]
 
     def test_mu_scaling_bit_identical(self):
-        # data scale linearly in mu and the pivotal draw formulas consume
-        # only mean/sd ratios, so doubling all means reproduces coverage
-        # and lengths exactly for the pivotal methods
+        # data scale linearly in mu, the pivotal draw formulas consume
+        # only mean/sd ratios and the MLE's profile equation only the
+        # ratios q_i, so doubling all means reproduces coverage and
+        # lengths exactly for every method
         a = run_study(config(mus=(1.0, 1.0, 2.0)))
         b = run_study(config(mus=(2.0, 2.0, 4.0)))
-        for method in (Method.TIAN, Method.NEW, Method.COMBINED):
+        for method in ALL_METHODS:
             assert a.performance[method] == b.performance[method]
-        # the Wald interval's center travels through a pivoted linear
-        # solve, where a rescaled Hessian can flip pivots: equal to 1e-9
-        vj_a = a.performance[Method.VERRILL_JOHNSON]
-        vj_b = b.performance[Method.VERRILL_JOHNSON]
-        assert vj_a.coverage == vj_b.coverage
-        assert vj_a.avg_length == pytest.approx(vj_b.avg_length, rel=1e-9)
+
+    def test_negative_means_cover_their_own_cv(self):
+        # data drawn with negative means have CV -phi; that is what the
+        # intervals are compared with
+        pos = run_study(config(mus=(1.0, 1.0, 2.0), reps=200, m=500))
+        neg = run_study(config(mus=(-1.0, -1.0, -2.0), reps=200, m=500))
+        assert neg.performance[Method.VERRILL_JOHNSON] == pos.performance[Method.VERRILL_JOHNSON]
+        for method in (Method.TIAN, Method.NEW, Method.COMBINED):
+            assert neg.performance[method].coverage > 0.8
 
     def test_length_decreases_with_sample_size(self):
         lengths = []
@@ -161,17 +166,27 @@ class TestFailureAccounting:
         assert math.isnan(perf.coverage)
         assert math.isnan(perf.avg_length)
 
-    def test_joint_draw_failure_falls_back_per_method(self, monkeypatch):
-        """If the shared multi-method pass errors, each method is retried
-        alone with its own seed, so the results match a clean run."""
-        clean = run_study(config(methods=(Method.TIAN, Method.NEW)))
+    def test_pivot_failure_counted_for_its_method_only(self, monkeypatch):
+        """One method failing inside a multi-method engine call costs only
+        that method its replication; the others match a clean run."""
+        methods = (Method.TIAN, Method.NEW, Method.COMBINED)
+        clean = run_study(config(methods=methods))
+        original = pivotal._pivot_values
 
-        def explode(*args, **kwargs):
-            raise NumericalError("joint pass disabled")
+        def new_degenerate(groups, u, zg):
+            # 2% of every block degenerate for `new` alone: a rate error
+            pivots = original(groups, u, zg)
+            if len(u) > 1:
+                vals = pivots[Method.NEW][0]
+                pivots[Method.NEW] = vals, np.arange(len(u)) < 0.02 * len(u)
+            return pivots
 
-        monkeypatch.setattr(simulate, "_pivot_value_arrays", explode)
-        patched = run_study(config(methods=(Method.TIAN, Method.NEW)))
-        assert patched.performance == clean.performance
+        monkeypatch.setattr(pivotal, "_pivot_values", new_degenerate)
+        patched = run_study(config(methods=methods))
+        assert patched.performance[Method.NEW].failures == FAST["reps"]
+        assert math.isnan(patched.performance[Method.NEW].coverage)
+        for method in (Method.TIAN, Method.COMBINED):
+            assert patched.performance[method] == clean.performance[method]
 
 
 class TestRunGrid:
