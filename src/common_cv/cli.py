@@ -246,8 +246,7 @@ def _cmd_simulate(args) -> int:
     ]
     results = run_grid(configs)
 
-    k = len(configs[0].mus) if configs else 0
-    header = grid_header(k) + [
+    header = grid_header(len(configs[0].mus)) + [
         "reps", "draws", "level", "seed", "method", "coverage", "avg_length", "failures", "error"
     ]
     own = args.out != "-"

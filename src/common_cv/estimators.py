@@ -17,11 +17,10 @@ and the asymptotic (Wald) interval built on it.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import norm
 
 from .errors import (
     DegenerateDenominatorError,
@@ -31,8 +30,6 @@ from .errors import (
 from .model import IntervalResult, Method, ParameterVector, SampleSummary, Study, group_arrays
 
 _PHI_MAX = 1e6  # largest |phi| searched for the MLE
-_EPS = float(np.finfo(float).eps)
-_XTOL = float(np.finfo(float).tiny)
 
 
 def group_cvs(study: Study | Sequence[SampleSummary]) -> np.ndarray:
@@ -120,6 +117,36 @@ def score_and_hessian(
     return _Likelihood(study).score_hessian(phi, sig)
 
 
+def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f in [a, b], given fa = f(a) >= 0 >= f(b) = fb.
+
+    Regula falsi with the Illinois step: an endpoint kept twice in a row has
+    its f value halved in the secant, so both ends of the bracket move.  A
+    secant point that rounds onto the bracket's ends is replaced by the
+    midpoint.  Stops when f is exactly zero at an end, or when the bracket
+    holds no float between its ends, and returns the end with the smaller
+    |f|.
+    """
+    wa, wb = fa, fb  # secant weights: f at the ends, halved by the Illinois step
+    moved = 0  # +1 if a moved last, -1 if b did
+    while True:
+        mid = 0.5 * (a + b)
+        if fa == 0.0 or fb == 0.0 or mid == a or mid == b:
+            return a if fa <= -fb else b
+        c = a + (b - a) * (wa / (wa - wb))
+        if not a < c < b:
+            c = mid
+        fc = f(c)
+        if fc >= 0.0:
+            if moved == 1:
+                wb *= 0.5
+            a, fa, wa, moved = c, fc, fc, 1
+        else:
+            if moved == -1:
+                wa *= 0.5
+            b, fb, wb, moved = c, fc, fc, -1
+
+
 def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     """Maximum likelihood estimate of (phi, sigma_1..sigma_k).
 
@@ -127,8 +154,9 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     where u_i is the root of p*u^2 + u = 1 + q_i that makes sigma_i
     positive (p = phi^2, q_i = (n_i-1)*sd_i^2/(n_i*mean_i^2)).  The profile
     score is then h(p)/phi^3 with h(p) = sum_i n_i*(1 - 1/u_i), so the MLE
-    is the root of h, located by Brent's method to rounding accuracy; phi
-    takes the sign of :func:`new_estimate`.
+    is the root of h, located by a bracketed secant search that narrows
+    the bracket to adjacent floats (:func:`_bracketed_root`); phi takes the
+    sign of :func:`new_estimate`.
 
     A group whose mean has phi's sign contributes n_i*d_i/(1 + d_i), with
     d_i = u_i - 1 written free of cancellation; it has the sign of q_i - p.
@@ -136,32 +164,46 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     lies in [min q_i, max q_i] over the groups of phi's sign, except that
     with mixed signs the upper end is quadrupled until h < 0.  Raises
     NoConvergenceError if h stays positive up to |phi| = 1e6.
+
+    h is evaluated on plain floats: k is small, and a numpy call costs more
+    than the arithmetic on a few groups.
     """
     ns, means, sds, _ = group_arrays(study)
     sign = math.copysign(1.0, new_estimate(study))
-    q = (ns - 1.0) * sds**2 / (ns * means**2)
-    same = sign * means > 0.0
+    # per group: n_i, q_i, and whether the mean has phi's sign
+    groups = [
+        (n, (n - 1.0) * (sd * sd) / (n * (mean * mean)), sign * mean > 0.0)
+        for n, mean, sd in zip(ns.tolist(), means.tolist(), sds.tolist())
+    ]
 
-    def parts(p: float) -> tuple[np.ndarray, np.ndarray]:
-        root_s = np.sqrt(1.0 + 4.0 * p * (1.0 + q))
+    def parts(p: float, q: float) -> tuple[float, float]:
+        root_s = math.sqrt(1.0 + 4.0 * p * (1.0 + q))
         d = 4.0 * (q - p) * (1.0 + q) / ((1.0 + root_s) * (1.0 + 2.0 * q + root_s))
         return d, root_s
 
     def h(p: float) -> float:
-        d, root_s = parts(p)
-        other = (1.0 + 2.0 * q + root_s) / (2.0 * (1.0 + q))
-        return float(np.sum(ns * np.where(same, d / (1.0 + d), other)))
+        total = 0.0
+        for n, q, same in groups:
+            d, root_s = parts(p, q)
+            total += n * (d / (1.0 + d) if same else (1.0 + 2.0 * q + root_s) / (2.0 * (1.0 + q)))
+        return total
 
-    lo, hi = float(q[same].min()), float(q[same].max())
-    while h(hi) > 0.0:
+    same_qs = [q for _, q, same in groups if same]
+    lo, hi = min(same_qs), max(same_qs)
+    h_lo, h_hi = h(lo), h(hi)
+    while h_hi > 0.0:
         if hi >= _PHI_MAX**2:
             raise NoConvergenceError(f"profile score stays positive up to |phi| = {_PHI_MAX:g}")
-        lo, hi = hi, 4.0 * hi
-    p = brentq(h, lo, hi, xtol=_XTOL, rtol=4.0 * _EPS)
-    d, root_s = parts(p)
-    u = np.where(same, 1.0 + d, -(1.0 + root_s) / (2.0 * p))
+        lo, h_lo, hi = hi, h_hi, 4.0 * hi
+        h_hi = h(hi)
+    p = _bracketed_root(h, lo, hi, h_lo, h_hi)
     phi = sign * math.sqrt(p)
-    return ParameterVector(phi=phi, sigmas=tuple(phi * means * u))
+    sigmas = []
+    for (_, q, same), mean in zip(groups, means.tolist()):
+        d, root_s = parts(p, q)
+        u = 1.0 + d if same else -(1.0 + root_s) / (2.0 * p)
+        sigmas.append(phi * mean * u)
+    return ParameterVector(phi=phi, sigmas=tuple(sigmas))
 
 
 def vj_interval(study: Study, level: float) -> IntervalResult:
@@ -175,7 +217,7 @@ def vj_interval(study: Study, level: float) -> IntervalResult:
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
     phi = newton_mle(study).phi
     n_total = study.n
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * math.sqrt((phi**4 + phi**2 / 2.0) / n_total)
     return IntervalResult(
         method=Method.VERRILL_JOHNSON,

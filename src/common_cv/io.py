@@ -11,7 +11,8 @@ Simulation grids (header ``phi,mu1..muK,n1..nK``, one cell per row) are
 read by the same row reader.
 
 Group labels are arbitrary nonempty strings.  Values must parse as finite
-numbers, and n as an integer >= 2.
+numbers, and n as an integer >= 2.  Files are read as UTF-8; a leading
+byte order mark (Excel's "CSV UTF-8") is dropped from files and streams.
 """
 
 from __future__ import annotations
@@ -39,10 +40,13 @@ def _rows(source, expected_header):
     ``expected_header`` is the header list, or a function from the file's
     header to the list it must equal (for layouts of varying width).
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+    try:
+        if hasattr(source, "read"):
+            text = source.read().removeprefix("\ufeff")
+        else:
+            text = Path(source).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input is not UTF-8 text: {exc}") from None
     reader = csv.reader(text.splitlines())
     try:
         header = [h.strip() for h in next(reader)]
@@ -114,7 +118,7 @@ def grid_header(k: int) -> list[str]:
 
 
 def read_grid_csv(source) -> list[tuple[float, tuple[float, ...], tuple[int, ...]]]:
-    """Parse ``phi,mu1..muK,n1..nK`` rows into (phi, mus, ns) cells."""
+    """Parse ``phi,mu1..muK,n1..nK`` rows into (phi, mus, ns) cells (at least one)."""
     cells = []
     for lineno, fields in _rows(source, lambda header: grid_header((len(header) - 1) // 2)):
         k = (len(fields) - 1) // 2
@@ -123,6 +127,8 @@ def read_grid_csv(source) -> list[tuple[float, tuple[float, ...], tuple[int, ...
             tuple(_parse_float(v, lineno) for v in fields[1 : k + 1]),
             tuple(_parse_count(v, lineno) for v in fields[k + 1 :]),
         ))
+    if not cells:
+        raise ValidationError("grid has no cells")
     return cells
 
 

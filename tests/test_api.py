@@ -1,6 +1,33 @@
-"""The package's public names: an addition or removal must be deliberate."""
+"""The package's public surface: its names, where an addition or removal
+must be deliberate, and its runtime dependencies (numpy alone)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import common_cv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Imports the package and runs three commands on small inputs, then prints
+# every scipy module that got loaded on the way.
+NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+from importlib import resources
+from common_cv import cli
+
+surveys = str(resources.files("common_cv").joinpath("data").joinpath("mcv_surveys.csv"))
+grid, out = sys.argv[1:]
+for argv in (
+    ["estimate", "--input", surveys, "--summary"],
+    ["ci", "--input", surveys, "--summary", "--method", "all", "--draws", "200"],
+    ["simulate", "--config", grid, "--reps", "3", "--draws", "200", "--out", out],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
 
 PUBLIC = {
     # value types and method tags
@@ -29,3 +56,15 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in common_cv.__all__:
         assert getattr(common_cv, name) is not None
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    grid, out = tmp_path / "grid.csv", tmp_path / "out.csv"
+    grid.write_text("phi,mu1,mu2,n1,n2\n0.3,1.0,2.0,10,10\n")
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(grid), str(out)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert out.read_text().count("\n") == 5  # header and four methods

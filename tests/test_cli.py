@@ -96,6 +96,23 @@ class TestEstimate:
         assert [g["group"] for g in rec["groups"]] == ["a", "b"]
 
 
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_byte_order_mark_accepted(self, capsys, monkeypatch, tmp_path, source):
+        text = "\ufeff" + resources.files("common_cv").joinpath("data").joinpath(
+            "mcv_surveys.csv").read_text(encoding="utf-8")
+        if source == "path":
+            path = tmp_path / "surveys.csv"
+            path.write_text(text, encoding="utf-8")
+            arg = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            arg = "-"
+        code, out, err = run(capsys, "estimate", "--input", arg, "--summary", "--json")
+        assert code == 0 and err == ""
+        _, plain, _ = run(capsys, "estimate", "--input", SURVEYS_PATH, "--summary", "--json")
+        assert out == plain
+
+
 class TestCi:
     def test_all_methods_by_default(self, capsys):
         code, out, _ = run(
@@ -356,6 +373,13 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--config", write_grid(tmp_path, text))
         assert code == 1 and out == ""
         assert "invalid input" in err and message in err
+
+    def test_grid_without_cells(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "simulate", "--config", write_grid(tmp_path, "phi,mu1,mu2,n1,n2\n\n")
+        )
+        assert code == 1 and out == ""
+        assert "invalid input: grid has no cells" in err
 
     def test_bad_level(self, capsys, tmp_path):
         code, _, err = run(

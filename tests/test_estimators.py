@@ -1,11 +1,14 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import norm
 
 from common_cv.errors import NoConvergenceError, ValidationError
 from common_cv.estimators import (
+    _bracketed_root,
     feltz_miller_estimate,
     group_cvs,
     log_likelihood,
@@ -14,7 +17,7 @@ from common_cv.estimators import (
     score_and_hessian,
     vj_interval,
 )
-from common_cv.model import Method, SampleSummary, Study, summarize
+from common_cv.model import Method, ParameterVector, SampleSummary, Study, summarize
 from oracles.mle_profile import loglik, profile_sigmas
 
 
@@ -38,6 +41,13 @@ HOSPITAL_MLE = (0.60148476, (91.065667, 47.140744, 25.305683, 91.536011), -124.0
 PAIR_MLE = (0.31220289, (0.677612, 0.886868), -14.24094546)
 WIDE_MLE = (0.45376740, (2.4871, 11.197559), -60.67504775)
 CV3_MLE = (0.97296113, (2.395415, 0.610457), -16.08943342)
+# roots of the profile score to 60 digits, printed by
+# tests/oracles/mle_roots_60.py (mpmath bisection at 70 digits)
+PROFILE_ROOTS_60 = {
+    "surveys": "0.0369785182483431035918673173694512585928290637372702232324898",
+    "hospital": "0.601484747623201608855722385023754665228185920914477706839432",
+    "pair": "0.312202885655139313208333602708282589930747073382658188371891",
+}
 
 
 class TestGroupCvs:
@@ -204,6 +214,29 @@ class TestNewtonMle:
         assert mle.phi == pytest.approx(phi, abs=2e-7)
         assert np.allclose(mle.sigmas, sigmas, atol=2e-5)
         assert log_likelihood(study, mle) == pytest.approx(ll, abs=1e-6)
+
+    @pytest.mark.parametrize("name", sorted(PROFILE_ROOTS_60))
+    def test_within_4_ulp_of_60_digit_root(self, request, name):
+        if name == "pair":
+            study = study_of([5, 7], [2.0, 3.0], [1.0, 0.6])
+        else:
+            study = request.getfixturevalue(name)
+        phi = newton_mle(study).phi
+        # Decimal holds the float exactly, so the error is exact too
+        error = abs(Decimal(phi) - Decimal(PROFILE_ROOTS_60[name]))
+        assert error <= 4 * Decimal(math.ulp(phi))
+
+    def test_bracketed_root_moves_both_ends(self):
+        # plain regula falsi keeps the left end of 1 - x**10 on [0, 1.3] for
+        # hundreds of steps; the Illinois step reaches the root x = 1 in a few
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 - x**10
+
+        assert _bracketed_root(f, 0.0, 1.3, 1.0, 1.0 - 1.3**10) == 1.0
+        assert len(calls) < 30
 
     def test_printed_precision(self, surveys, hospital):
         assert newton_mle(surveys).phi == pytest.approx(0.0369, abs=1e-4)
@@ -373,6 +406,18 @@ class TestVjInterval:
         z = 1.6448536269514722  # standard normal 95th percentile
         half = z * math.sqrt((phi**4 + phi**2 / 2.0) / hospital.n)
         assert (iv.upper - iv.lower) / 2.0 == pytest.approx(half, rel=1e-9)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99, 0.999999])
+    def test_normal_quantile_matches_scipy(self, monkeypatch, level):
+        # with phi = 2**40 and n = 4 the half-width is exactly z * 2**79, so
+        # the endpoints give z back to within one rounding of each
+        monkeypatch.setattr(
+            "common_cv.estimators.newton_mle",
+            lambda study: ParameterVector(phi=2.0**40, sigmas=(1.0, 1.0)),
+        )
+        iv = vj_interval(Study(groups=tuple(study_of([2, 2], [1.0, 2.0], [0.5, 0.5]))), level)
+        z = (iv.upper - iv.lower) / 2.0**80
+        assert z == pytest.approx(norm.ppf(0.5 + level / 2.0), rel=1e-15, abs=0.0)
 
     def test_level_shrinks_to_point(self, surveys):
         tiny = vj_interval(surveys, 1e-9)

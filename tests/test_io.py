@@ -212,6 +212,20 @@ class TestRoundTrip:
         assert text.startswith("group,n,mean,sd\n")
         assert read_summary_csv(io.StringIO(text)) == surveys
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        path = tmp_path / "summary.csv"
+        path.write_text("\ufeff" + SUMMARY, encoding="utf-8")
+        expected = read_summary_csv(io.StringIO(SUMMARY))
+        assert read_summary_csv(path) == expected
+        assert read_summary_csv(io.StringIO("\ufeff" + SUMMARY)) == expected
+
+    def test_non_utf8_file_is_validation_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(SUMMARY.replace("a,", "\xe9,").encode("latin-1"))
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            read_summary_csv(path)
+
     def test_file_like_and_path_inputs_agree(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text(RAW)
