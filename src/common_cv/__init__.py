@@ -39,6 +39,8 @@ from .pivotal import (
     generate_draws,
     gpq_interval,
     gpq_test,
+    gpq_tests,
+    intervals,
     new_method_draw,
     quantile,
     tian_draw,
@@ -70,7 +72,9 @@ __all__ = [
     "generate_draws",
     "gpq_interval",
     "gpq_test",
+    "gpq_tests",
     "group_cvs",
+    "intervals",
     "load_hospital_survival",
     "load_mcv_surveys",
     "log_likelihood",

@@ -26,7 +26,7 @@ from .io import (
     read_summary_csv,
 )
 from .model import Alternative, Method, PIVOTAL_METHODS, Study
-from .pivotal import confidence_interval, gpq_test
+from .pivotal import gpq_tests, intervals
 from .simulate import ALL_METHODS, SimConfig, run_grid
 
 _METHOD_CHOICES = ["tian", "vj", "new", "combined", "all"]
@@ -56,9 +56,8 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--json", action="store_true", help="emit one JSON object per result")
 
-    def add_mc_flags(p, methods=True):
-        if methods:
-            p.add_argument("--method", choices=_METHOD_CHOICES, default="all")
+    def add_mc_flags(p):
+        p.add_argument("--method", choices=_METHOD_CHOICES, default="all")
         p.add_argument("--draws", type=int, default=_DEFAULT_DRAWS, help="Monte Carlo size")
         p.add_argument("--seed", type=int, default=None, help="master seed (default 0 or COMMON_CV_SEED)")
 
@@ -128,11 +127,22 @@ def _check_level(level: float):
         raise _UsageError(f"--level must be strictly between 0 and 1, got {level:g}")
 
 
+def _source(path: str):
+    """A path, or for "-" stdin's bytes, which the reader decodes strictly."""
+    return getattr(sys.stdin, "buffer", sys.stdin) if path == "-" else path
+
+
 def _load_study(args) -> Study:
     reader = read_summary_csv if args.summary else read_raw_csv
-    if args.input == "-":
-        return reader(sys.stdin)
-    return reader(args.input)
+    return reader(_source(args.input))
+
+
+def _in_order(results: dict):
+    """Results in method order, raising the first failed method's error on reaching it."""
+    for result in results.values():
+        if isinstance(result, errors.NumericalError):
+            raise result
+        yield result
 
 
 def _group_rows(study: Study):
@@ -199,8 +209,7 @@ def _cmd_ci(args) -> int:
     _check_level(args.level)
     study = _load_study(args)
     seed = _resolve_seed(args)
-    for method in _resolve_methods(args.method):
-        iv = confidence_interval(study, method, args.level, args.draws, seed)
+    for iv in _in_order(intervals(study, _resolve_methods(args.method), args.level, args.draws, seed)):
         if args.json:
             print(json.dumps(_interval_record(iv)))
         else:
@@ -211,9 +220,9 @@ def _cmd_ci(args) -> int:
 def _cmd_test(args) -> int:
     study = _load_study(args)
     seed = _resolve_seed(args)
+    methods = _resolve_methods(args.method, testing=True)
     alternative = Alternative(args.alternative)
-    for method in _resolve_methods(args.method, testing=True):
-        res = gpq_test(study, method, args.null, alternative, args.draws, seed)
+    for res in _in_order(gpq_tests(study, methods, args.null, alternative, args.draws, seed)):
         record = {
             "method": res.method.value,
             "null": res.phi0,
@@ -242,7 +251,7 @@ def _cmd_simulate(args) -> int:
             phi=phi, mus=mus, ns=ns, reps=args.reps, m=args.draws,
             level=args.level, methods=methods, master_seed=seed,
         )
-        for phi, mus, ns in read_grid_csv(sys.stdin if args.config == "-" else args.config)
+        for phi, mus, ns in read_grid_csv(_source(args.config))
     ]
     results = run_grid(configs)
 
@@ -280,17 +289,14 @@ def _cmd_examples(args) -> int:
     ]
     for name, study in datasets:
         est = _estimates(study)
-        intervals = [
-            confidence_interval(study, method, 0.95, args.draws, seed) for method in ALL_METHODS
-        ]
+        ivs = list(_in_order(intervals(study, ALL_METHODS, 0.95, args.draws, seed)))
         if args.json:
-            intervals = [_interval_record(iv) for iv in intervals]
-            print(json.dumps({"dataset": name, **est, "intervals": intervals}))
+            print(json.dumps({"dataset": name, **est, "intervals": [_interval_record(iv) for iv in ivs]}))
             continue
         print(f"=== {name} ===")
         _print_estimates(study, est)
         print("\n95% confidence intervals:")
-        for iv in intervals:
+        for iv in ivs:
             _print_interval(iv)
         print()
     return 0

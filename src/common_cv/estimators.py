@@ -64,45 +64,13 @@ def _theta_arrays(theta: ParameterVector | tuple) -> tuple[float, np.ndarray]:
     return float(phi), np.asarray(sigmas, dtype=float)
 
 
-class _Likelihood:
-    """Sufficient statistics of one study, with the likelihood, gradient and
-    Hessian as plain-array evaluations (no per-call Study traversal)."""
-
-    def __init__(self, study):
-        self.ns, self.means, self.sds, _ = group_arrays(study)
-        self.a = (self.ns - 1.0) * self.sds**2
-        self.constant = 0.5 * float(self.ns.sum()) * math.log(2.0 * math.pi)
-
-    def value(self, phi: float, sig: np.ndarray) -> float:
-        resid = self.means - sig / phi
-        ss = self.a + self.ns * resid * resid
-        return float(np.sum(-self.ns * np.log(sig) - ss / (2.0 * sig * sig)) - self.constant)
-
-    def score_hessian(self, phi: float, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ns, means = self.ns, self.means
-        k = len(ns)
-        resid = means - sig / phi  # d(resid)/d(phi) = sig/phi^2, d/d(sigma_i) = -1/phi
-        ss = self.a + ns * resid**2
-
-        g_phi = float(np.sum(-ns * resid / (sig * phi**2)))
-        g_sig = -ns / sig + ss / sig**3 + ns * resid / (sig**2 * phi)
-
-        h_phiphi = float(np.sum(-ns / phi**4 + 2.0 * ns * resid / (sig * phi**3)))
-        h_phisig = ns * means / (phi**2 * sig**2)
-        h_sigsig = ns / sig**2 - 3.0 * ss / sig**4 - 4.0 * ns * resid / (phi * sig**3) - ns / (phi**2 * sig**2)
-
-        gradient = np.concatenate(([g_phi], g_sig))
-        hessian = np.zeros((k + 1, k + 1))
-        hessian[0, 0] = h_phiphi
-        hessian[0, 1:] = h_phisig
-        hessian[1:, 0] = h_phisig
-        hessian[np.arange(1, k + 1), np.arange(1, k + 1)] = h_sigsig
-        return gradient, hessian
-
-
 def log_likelihood(study: Study | Sequence[SampleSummary], theta: ParameterVector | tuple) -> float:
     phi, sig = _theta_arrays(theta)
-    return _Likelihood(study).value(phi, sig)
+    ns, means, sds, _ = group_arrays(study)
+    constant = 0.5 * float(ns.sum()) * math.log(2.0 * math.pi)
+    resid = means - sig / phi
+    ss = (ns - 1.0) * sds**2 + ns * resid * resid
+    return float(np.sum(-ns * np.log(sig) - ss / (2.0 * sig * sig)) - constant)
 
 
 def score_and_hessian(
@@ -114,7 +82,25 @@ def score_and_hessian(
     diagonal because groups only interact through phi.
     """
     phi, sig = _theta_arrays(theta)
-    return _Likelihood(study).score_hessian(phi, sig)
+    ns, means, sds, _ = group_arrays(study)
+    k = len(ns)
+    resid = means - sig / phi  # d(resid)/d(phi) = sig/phi^2, d/d(sigma_i) = -1/phi
+    ss = (ns - 1.0) * sds**2 + ns * resid**2
+
+    g_phi = float(np.sum(-ns * resid / (sig * phi**2)))
+    g_sig = -ns / sig + ss / sig**3 + ns * resid / (sig**2 * phi)
+
+    h_phiphi = float(np.sum(-ns / phi**4 + 2.0 * ns * resid / (sig * phi**3)))
+    h_phisig = ns * means / (phi**2 * sig**2)
+    h_sigsig = ns / sig**2 - 3.0 * ss / sig**4 - 4.0 * ns * resid / (phi * sig**3) - ns / (phi**2 * sig**2)
+
+    gradient = np.concatenate(([g_phi], g_sig))
+    hessian = np.zeros((k + 1, k + 1))
+    hessian[0, 0] = h_phiphi
+    hessian[0, 1:] = h_phisig
+    hessian[1:, 0] = h_phisig
+    hessian[np.arange(1, k + 1), np.arange(1, k + 1)] = h_sigsig
+    return gradient, hessian
 
 
 def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:

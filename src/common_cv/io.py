@@ -11,8 +11,9 @@ Simulation grids (header ``phi,mu1..muK,n1..nK``, one cell per row) are
 read by the same row reader.
 
 Group labels are arbitrary nonempty strings.  Values must parse as finite
-numbers, and n as an integer >= 2.  Files are read as UTF-8; a leading
-byte order mark (Excel's "CSV UTF-8") is dropped from files and streams.
+numbers, and n as an integer >= 2.  Files and binary streams are decoded
+strictly as UTF-8, and text streams are taken as decoded; a leading byte
+order mark (Excel's "CSV UTF-8") is dropped from all three.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from importlib import resources
+from io import StringIO
 from pathlib import Path
 
 from .errors import (
@@ -42,7 +44,8 @@ def _rows(source, expected_header):
     """
     try:
         if hasattr(source, "read"):
-            text = source.read().removeprefix("\ufeff")
+            text = source.read()
+            text = text.decode("utf-8-sig") if isinstance(text, bytes) else text.removeprefix("\ufeff")
         else:
             text = Path(source).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -156,13 +159,9 @@ def _bundled(name: str) -> str:
 
 def load_mcv_surveys() -> Study:
     """Two annual blood-analyte quality-control surveys (summary data)."""
-    import io as _io
-
-    return read_summary_csv(_io.StringIO(_bundled("mcv_surveys.csv")))
+    return read_summary_csv(StringIO(_bundled("mcv_surveys.csv")))
 
 
 def load_hospital_survival() -> Study:
     """Patient survival times from four hospitals (raw data)."""
-    import io as _io
-
-    return read_raw_csv(_io.StringIO(_bundled("hospital_survival.csv")))
+    return read_raw_csv(StringIO(_bundled("hospital_survival.csv")))

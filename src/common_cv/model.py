@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -165,15 +165,16 @@ class IntervalResult:
     level: float
     lower: float
     upper: float
-    length: float = field(default=None)  # type: ignore[assignment]
     draws: int = 0
     seed: int | None = None
 
     def __post_init__(self):
-        if self.length is None:
-            object.__setattr__(self, "length", self.upper - self.lower)
         if self.lower > self.upper:
             raise ValueError(f"interval endpoints out of order: ({self.lower}, {self.upper})")
+
+    @property
+    def length(self) -> float:
+        return self.upper - self.lower
 
     def contains(self, value: float) -> bool:
         """Closed-interval containment."""

@@ -211,6 +211,13 @@ def _pivot_value_arrays(study, methods, m, seed):
     return values, rejected
 
 
+def _only(results: dict, method: Method):
+    """The one method's result, or its error raised."""
+    if isinstance(results[method], NumericalError):
+        raise results[method]
+    return results[method]
+
+
 def generate_draws(study: Study | Sequence[SampleSummary], method: Method, m: int, seed: int) -> PivotalDraws:
     """Generate m pivotal draws for one method.
 
@@ -218,9 +225,7 @@ def generate_draws(study: Study | Sequence[SampleSummary], method: Method, m: in
     share the underlying chi-square/normal variates.
     """
     values, rejected = _pivot_value_arrays(study, (method,), m, seed)
-    if isinstance(values[method], NumericalError):
-        raise values[method]
-    return PivotalDraws(method=method, values=values[method], seed=seed, rejected=rejected[method])
+    return PivotalDraws(method=method, values=_only(values, method), seed=seed, rejected=rejected[method])
 
 
 def quantile(draws: PivotalDraws | np.ndarray, p: float) -> float:
@@ -239,32 +244,38 @@ def quantile(draws: PivotalDraws | np.ndarray, p: float) -> float:
     return float(np.partition(vals, rank - 1)[rank - 1])
 
 
-def gpq_interval(study: Study, method: Method, level: float, m: int, seed: int) -> IntervalResult:
-    """Equal-tailed Monte Carlo interval from m pivotal draws."""
+def intervals(study: Study, methods: Sequence[Method], level: float, m: int, seed: int) -> dict:
+    """{method: IntervalResult or its NumericalError}, in ``methods`` order.
+
+    The pivotal methods share one engine call, each getting exactly the
+    equal-tailed interval it gets alone; ``vj`` is closed-form and ignores
+    m and seed.  Invalid arguments raise ValidationError.
+    """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
-    draws = generate_draws(study, method, m, seed)
+    pivotal = tuple(method for method in methods if method is not Method.VERRILL_JOHNSON)
+    values = _pivot_value_arrays(study, pivotal, m, seed)[0] if pivotal else {}
     alpha = 1.0 - level
-    return IntervalResult(
-        method=method,
-        level=level,
-        lower=quantile(draws, alpha / 2.0),
-        upper=quantile(draws, 1.0 - alpha / 2.0),
-        draws=m,
-        seed=seed,
-    )
+    results = {}
+    for method in methods:
+        if method is Method.VERRILL_JOHNSON:
+            try:
+                results[method] = vj_interval(study, level)
+            except NumericalError as exc:
+                results[method] = exc
+        elif isinstance(values[method], NumericalError):
+            results[method] = values[method]
+        else:
+            lower, upper = (quantile(values[method], p) for p in (alpha / 2.0, 1.0 - alpha / 2.0))
+            results[method] = IntervalResult(method, level, lower, upper, draws=m, seed=seed)
+    return results
 
 
-def gpq_test(
-    study: Study,
-    method: Method,
-    phi0: float,
-    alternative: Alternative,
-    m: int,
-    seed: int,
-) -> TestResult:
-    """Monte Carlo p-value for H0 about phi, from the same draws a
-    same-seed interval would use.
+def gpq_tests(
+    study: Study, methods: Sequence[Method], phi0: float, alternative: Alternative, m: int, seed: int
+) -> dict:
+    """Monte Carlo p-values, mapped as in :func:`intervals`, from the draws
+    a same-seed interval would use.
 
     The proportion of draws at or below phi0 estimates the evidence for
     phi > phi0 and vice versa; the two-sided p-value doubles the smaller
@@ -272,22 +283,36 @@ def gpq_test(
     """
     if not math.isfinite(phi0):
         raise ValidationError(f"null value must be finite, got {phi0}")
-    draws = generate_draws(study, method, m, seed)
-    p_le = float(np.count_nonzero(draws.values <= phi0)) / m
-    p_ge = float(np.count_nonzero(draws.values >= phi0)) / m
-    if alternative is Alternative.GREATER:
-        p = p_le
-    elif alternative is Alternative.LESS:
-        p = p_ge
-    else:
-        p = min(1.0, 2.0 * min(p_le, p_ge))
-    return TestResult(
-        method=method, phi0=phi0, alternative=alternative, p_value=p, draws=m, seed=seed
-    )
+    results = _pivot_value_arrays(study, methods, m, seed)[0]
+    for method, vals in results.items():
+        if isinstance(vals, NumericalError):
+            continue
+        p_le = float(np.count_nonzero(vals <= phi0)) / m
+        p_ge = float(np.count_nonzero(vals >= phi0)) / m
+        if alternative is Alternative.GREATER:
+            p = p_le
+        elif alternative is Alternative.LESS:
+            p = p_ge
+        else:
+            p = min(1.0, 2.0 * min(p_le, p_ge))
+        results[method] = TestResult(method, phi0, alternative, p_value=p, draws=m, seed=seed)
+    return results
 
 
 def confidence_interval(study: Study, method: Method, level: float, m: int, seed: int) -> IntervalResult:
-    """Uniform front door over all four methods."""
+    """Uniform front door over all four methods, one at a time."""
+    return _only(intervals(study, (method,), level, m, seed), method)
+
+
+def gpq_interval(study: Study, method: Method, level: float, m: int, seed: int) -> IntervalResult:
+    """Equal-tailed Monte Carlo interval from m pivotal draws."""
     if method is Method.VERRILL_JOHNSON:
-        return vj_interval(study, level)
-    return gpq_interval(study, method, level, m, seed)
+        raise ValidationError(f"not a pivotal method: {method}")
+    return confidence_interval(study, method, level, m, seed)
+
+
+def gpq_test(
+    study: Study, method: Method, phi0: float, alternative: Alternative, m: int, seed: int
+) -> TestResult:
+    """Monte Carlo p-value for H0 about phi, for one method."""
+    return _only(gpq_tests(study, (method,), phi0, alternative, m, seed), method)

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import NumericalError, ValidationError
-from .estimators import vj_interval
-from .model import Method, PIVOTAL_METHODS, Study, summarize
-# generate_draws is not called here; perfbench/tracer.py wraps this binding.
-from .pivotal import _pivot_value_arrays, generate_draws, quantile  # noqa: F401
+from .model import Method, Study, summarize
+# Only intervals is called here; perfbench/tracer.py wraps the other bindings.
+from .pivotal import _pivot_value_arrays, generate_draws, intervals, quantile, vj_interval  # noqa: F401
 from .randgen import ROLE_SIM_DATA, ROLE_SIM_PIVOTS, SeededStream, mix_components
 
 ALL_METHODS = (Method.TIAN, Method.VERRILL_JOHNSON, Method.NEW, Method.COMBINED)
@@ -103,8 +102,6 @@ def run_study(config: SimConfig, cell_index: int = 0) -> SimResult:
     root = SeededStream(config.master_seed)
     # Data drawn with negative means have CV -phi.
     target = math.copysign(config.phi, config.mus[0])
-    gpq_methods = tuple(m for m in config.methods if m in PIVOTAL_METHODS)
-    alpha = 1.0 - config.level
 
     covered = {m: 0 for m in config.methods}
     length_sum = {m: 0.0 for m in config.methods}
@@ -119,28 +116,14 @@ def run_study(config: SimConfig, cell_index: int = 0) -> SimResult:
                 failures[m] += 1
             continue
 
-        if gpq_methods:
-            pivot_seed = mix_components(config.master_seed, ROLE_SIM_PIVOTS, cell_index, r)
-            values, _ = _pivot_value_arrays(study, gpq_methods, config.m, pivot_seed)
-            for m, vals in values.items():
-                if isinstance(vals, NumericalError):
-                    failures[m] += 1
-                    continue
-                lower = quantile(vals, alpha / 2.0)
-                upper = quantile(vals, 1.0 - alpha / 2.0)
-                if lower <= target <= upper:
-                    covered[m] += 1
-                length_sum[m] += upper - lower
-
-        if Method.VERRILL_JOHNSON in config.methods:
-            try:
-                interval = vj_interval(study, config.level)
-            except NumericalError:
-                failures[Method.VERRILL_JOHNSON] += 1
-            else:
-                if interval.contains(target):
-                    covered[Method.VERRILL_JOHNSON] += 1
-                length_sum[Method.VERRILL_JOHNSON] += interval.length
+        pivot_seed = mix_components(config.master_seed, ROLE_SIM_PIVOTS, cell_index, r)
+        for m, interval in intervals(study, config.methods, config.level, config.m, pivot_seed).items():
+            if isinstance(interval, NumericalError):
+                failures[m] += 1
+                continue
+            if interval.contains(target):
+                covered[m] += 1
+            length_sum[m] += interval.length
 
     performance = {}
     for m in config.methods:

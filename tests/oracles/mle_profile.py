@@ -4,9 +4,13 @@ Independent cross-check for ``newton_mle``: for fixed phi the sigma score
 has a closed-form positive root, so the joint maximization reduces to a
 1-D profile search, done here by a grid and Brent's minimizer instead of
 a root of the profile score. Run: python3 tests/oracles/mle_profile.py
-to print the table; importing the module prints nothing.
+to print the table; importing the module prints nothing.  The hospital
+summaries are recomputed from the bundled raw CSV without importing the
+package.
 """
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -42,11 +46,30 @@ def mle(ns, means, sds, lo=1e-4, hi=50.0):
     return phi, profile_sigmas(phi, ns, means, a), -float(res.fun)
 
 
+def raw_summaries(path):
+    """(ns, means, sds) per group of a ``group,value`` CSV, groups in order
+    of first appearance; sd uses the n - 1 divisor."""
+    groups = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            groups.setdefault(row["group"], []).append(float(row["value"]))
+    ns, means, sds = [], [], []
+    for values in groups.values():
+        n = len(values)
+        mean = math.fsum(values) / n
+        ns.append(n)
+        means.append(mean)
+        sds.append(math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1)))
+    return ns, means, sds
+
+
+HOSPITAL_CSV = Path(__file__).resolve().parents[2] / "src" / "common_cv" / "data" / "hospital_survival.csv"
+
+
 if __name__ == "__main__":
     for name, ns, means, sds in [
         ("survey  ", [63, 72], [84.13, 85.68], [3.390, 2.946]),
-        ("hospital", [5, 4, 3, 10], [168.0, 59.5, 45.666666666666664, 154.6],
-         [82.94877938166561, 66.78573150530814, 26.727020033405, 94.31177020842435]),
+        ("hospital", *raw_summaries(HOSPITAL_CSV)),
         ("single  ", [10], [10.0], [2.0]),
         ("pair    ", [5, 7], [2.0, 3.0], [1.0, 0.6]),
         ("wide    ", [3, 14], [1.0, 29.0], [4.0, 0.125]),

@@ -39,7 +39,7 @@ PUBLIC = {
     "score_and_hessian",
     # intervals, tests and pivotal draws
     "combined_draw", "confidence_interval", "generate_draws", "gpq_interval", "gpq_test",
-    "new_method_draw", "quantile", "tian_draw", "vj_interval",
+    "gpq_tests", "intervals", "new_method_draw", "quantile", "tian_draw", "vj_interval",
     # data
     "load_hospital_survival", "load_mcv_surveys", "read_raw_csv", "read_summary_csv",
     "summarize", "validate_study", "write_summary_csv",

@@ -11,6 +11,7 @@ from importlib import resources
 
 import pytest
 
+from common_cv import pivotal
 from common_cv.cli import main
 from common_cv.estimators import feltz_miller_estimate, new_estimate, newton_mle
 from common_cv.model import Method
@@ -111,6 +112,78 @@ class TestEstimate:
         assert code == 0 and err == ""
         _, plain, _ = run(capsys, "estimate", "--input", SURVEYS_PATH, "--summary", "--json")
         assert out == plain
+
+
+    def test_non_utf8_stdin_is_validation_error(self, capsys, monkeypatch, tmp_path):
+        # stdin as Python opens it in UTF-8 mode, where undecodable bytes
+        # become lone surrogates instead of an error
+        data = "group,n,mean,sd\ncafé,5,1.0,0.5\nbar,6,2.0,0.5\n".encode("latin-1")
+        monkeypatch.setattr(
+            "sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        )
+        code, out, err = run(capsys, "estimate", "--input", "-", "--summary")
+        assert code == 1 and out == ""
+        assert "not UTF-8" in err
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        assert run(capsys, "estimate", "--input", str(path), "--summary")[:2] == (1, "")
+
+
+def _count_engine_calls(monkeypatch):
+    calls = []
+    engine = pivotal._pivot_value_arrays
+
+    def counted(*args):
+        calls.append(args[1])
+        return engine(*args)
+
+    monkeypatch.setattr(pivotal, "_pivot_value_arrays", counted)
+    return calls
+
+
+def _fail_new(monkeypatch):
+    """Make 2% of every block degenerate for `new` alone: a rate error."""
+    original = pivotal._pivot_values
+
+    def patched(groups, u, zg):
+        pivots = original(groups, u, zg)
+        if len(u) > 1:  # block pass only; leave resampling attempts clean
+            vals, bad = pivots[Method.NEW]
+            bad = bad.copy()
+            bad[: max(1, len(u) // 50)] = True
+            pivots[Method.NEW] = vals, bad
+        return pivots
+
+    monkeypatch.setattr(pivotal, "_pivot_values", patched)
+
+
+class TestOneEngineCallPerStudy:
+    @pytest.mark.parametrize("argv, engine_calls", [
+        (("ci", "--input", SURVEYS_PATH, "--summary", "--method", "all"), 1),
+        (("test", "--input", SURVEYS_PATH, "--summary", "--null", "0.04"), 1),
+        (("examples",), 2),
+    ])
+    def test_engine_calls(self, capsys, monkeypatch, argv, engine_calls):
+        calls = _count_engine_calls(monkeypatch)
+        code, _, _ = run(capsys, *argv, "--draws", "300")
+        assert code == 0
+        assert len(calls) == engine_calls
+        assert all(tuple(methods) == (Method.TIAN, Method.NEW, Method.COMBINED) for methods in calls)
+
+    @pytest.mark.parametrize("argv, lines_before", [
+        (("ci", "--input", SURVEYS_PATH, "--summary"), 2),  # tian and vj
+        (("test", "--input", SURVEYS_PATH, "--summary", "--null", "0.04"), 1),  # tian
+    ])
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_failure_mid_list_keeps_earlier_lines(self, capsys, monkeypatch, argv, lines_before, fmt):
+        args = (*argv, *fmt, "--draws", "2000", "--seed", "5")
+        code, clean, _ = run(capsys, *args)
+        assert code == 0
+        _fail_new(monkeypatch)
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert "numerical failure" in err
+        assert out.splitlines() == clean.splitlines()[:lines_before]
 
 
 class TestCi:

@@ -37,7 +37,7 @@ def study_of(ns, means, sds) -> list[SampleSummary]:
 # independently recomputed by tests/oracles/mle_profile.py (profile
 # likelihood: closed-form sigma root + 1-D grid/Brent search)
 SURVEY_MLE = (0.03697852, (3.111718, 3.167682), -346.08874016)
-HOSPITAL_MLE = (0.60148476, (91.065667, 47.140744, 25.305683, 91.536011), -124.04751421)
+HOSPITAL_MLE = (0.60148473, (91.065665, 47.14074, 25.305681, 91.536011), -124.04751399)
 PAIR_MLE = (0.31220289, (0.677612, 0.886868), -14.24094546)
 WIDE_MLE = (0.45376740, (2.4871, 11.197559), -60.67504775)
 CV3_MLE = (0.97296113, (2.395415, 0.610457), -16.08943342)

@@ -15,6 +15,8 @@ from common_cv.pivotal import (
     generate_draws,
     gpq_interval,
     gpq_test,
+    gpq_tests,
+    intervals,
     new_method_draw,
     quantile,
     tian_draw,
@@ -375,6 +377,70 @@ class TestConfidenceIntervalDispatch:
         assert routed == vj_interval(surveys, 0.95)
         assert routed.draws == 0
         assert routed.seed is None
+
+
+class TestFrontDoor:
+    ALL = (Method.TIAN, Method.VERRILL_JOHNSON, Method.NEW, Method.COMBINED)
+    PIVOTAL = (Method.TIAN, Method.NEW, Method.COMBINED)
+
+    @pytest.mark.parametrize("method", ALL)
+    def test_interval_alone_matches_joint(self, hospital, method):
+        joint = intervals(hospital, self.ALL, 0.95, 1000, seed=4)
+        assert intervals(hospital, (method,), 0.95, 1000, seed=4) == {method: joint[method]}
+        assert confidence_interval(hospital, method, 0.95, 1000, seed=4) == joint[method]
+
+    @pytest.mark.parametrize("method", PIVOTAL)
+    def test_test_alone_matches_joint(self, hospital, method):
+        joint = gpq_tests(hospital, self.PIVOTAL, 0.5, Alternative.TWO_SIDED, 1000, seed=4)
+        assert gpq_tests(hospital, (method,), 0.5, Alternative.TWO_SIDED, 1000, seed=4) == {
+            method: joint[method]
+        }
+        assert gpq_test(hospital, method, 0.5, Alternative.TWO_SIDED, 1000, seed=4) == joint[method]
+
+    def test_results_follow_the_requested_order(self, surveys):
+        order = (Method.COMBINED, Method.VERRILL_JOHNSON, Method.TIAN)
+        assert tuple(intervals(surveys, order, 0.95, 500, seed=0)) == order
+        assert tuple(gpq_tests(surveys, order[::2], 0.04, Alternative.LESS, 500, seed=0)) == order[::2]
+
+    def test_vj_alone_ignores_draws_and_seed(self, surveys):
+        from common_cv.estimators import vj_interval
+
+        assert intervals(surveys, (Method.VERRILL_JOHNSON,), 0.9, 1, seed=-5) == {
+            Method.VERRILL_JOHNSON: vj_interval(surveys, 0.9)
+        }
+
+    def test_failed_method_maps_to_its_error(self, surveys, monkeypatch):
+        clean = intervals(surveys, self.ALL, 0.95, 2000, seed=0)
+        monkeypatch.setattr(
+            pivotal, "_pivot_values", TestDegenerateHandling._flag_first_rows(0.02, (Method.NEW,))
+        )
+        results = intervals(surveys, self.ALL, 0.95, 2000, seed=0)
+        assert isinstance(results[Method.NEW], DegenerateRateError)
+        assert {m: r for m, r in results.items() if m is not Method.NEW} == {
+            m: r for m, r in clean.items() if m is not Method.NEW
+        }
+        tests = gpq_tests(surveys, self.PIVOTAL, 0.04, Alternative.LESS, 2000, seed=0)
+        assert isinstance(tests[Method.NEW], DegenerateRateError)
+        with pytest.raises(DegenerateRateError):
+            confidence_interval(surveys, Method.NEW, 0.95, 2000, seed=0)
+        with pytest.raises(DegenerateRateError):
+            gpq_test(surveys, Method.NEW, 0.04, Alternative.LESS, 2000, seed=0)
+
+    @pytest.mark.parametrize("level, m, methods", [
+        (1.0, 1000, ALL),  # level
+        (0.95, 99, ALL),  # too few draws
+        (0.95, _MAX_DRAWS + 1, ALL),  # too many draws
+        (0.95, 1000, (Method.TIAN, "tian")),  # not a method
+    ])
+    def test_invalid_arguments_raise(self, surveys, level, m, methods):
+        with pytest.raises(ValidationError):
+            intervals(surveys, methods, level, m, seed=0)
+
+    def test_tests_reject_vj(self, surveys):
+        with pytest.raises(ValidationError):
+            gpq_tests(surveys, self.ALL, 0.04, Alternative.LESS, 1000, seed=0)
+        with pytest.raises(ValidationError):
+            gpq_interval(surveys, Method.VERRILL_JOHNSON, 0.95, 1000, seed=0)
 
 
 def test_pivotal_draws_value_object(surveys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from common_cv import pivotal, simulate
+from common_cv import pivotal
 from common_cv.errors import NumericalError, ValidationError
 from common_cv.model import Method
 from common_cv.simulate import (
@@ -136,7 +136,7 @@ class TestRunStudy:
 
 class TestFailureAccounting:
     def test_vj_failures_counted_not_fatal(self, monkeypatch):
-        real = simulate.vj_interval
+        real = pivotal.vj_interval
         calls = {"n": 0}
 
         def flaky(study, level):
@@ -145,7 +145,7 @@ class TestFailureAccounting:
                 raise NumericalError("synthetic failure")
             return real(study, level)
 
-        monkeypatch.setattr(simulate, "vj_interval", flaky)
+        monkeypatch.setattr(pivotal, "vj_interval", flaky)
         cfg = config(reps=30, methods=(Method.VERRILL_JOHNSON, Method.NEW))
         res = run_study(cfg)
         vj = res.performance[Method.VERRILL_JOHNSON]
@@ -159,7 +159,7 @@ class TestFailureAccounting:
         def broken(study, level):
             raise NumericalError("always")
 
-        monkeypatch.setattr(simulate, "vj_interval", broken)
+        monkeypatch.setattr(pivotal, "vj_interval", broken)
         cfg = config(reps=3, methods=(Method.VERRILL_JOHNSON,))
         perf = run_study(cfg).performance[Method.VERRILL_JOHNSON]
         assert perf.failures == 3
