@@ -16,8 +16,12 @@ D_i = r_i*sqrt(U_i/(n_i-1)) - Z_i/sqrt(n_i):
     new:       weighted harmonic counterpart:  n / sum_i n_i*D_i
     combined:  the plain average of the two
 
-All three come from the same D: the engine builds it once per block of
-replicates and derives every pivot from it.
+All three come from the same D.  The engine builds it one column at a
+time, D_j for all replicates of a block, and forms only the sums the
+requested methods need: the Tian sum for tian and combined, the new sum
+for new and combined.  The sums add their k terms in the order of a
+row-wise numpy sum, so a value is the same bit for bit whichever methods
+are computed with it.
 
 The new pivot is often written with a single standard normal Z against the
 pooled rate, n / (sum_i n_i*sqrt(U_i/(n_i-1))*r_i - sqrt(n)*Z).  That Z
@@ -32,9 +36,9 @@ overflow) is degenerate for that method.  It is regenerated from a
 per-replicate sub-stream and counted in ``rejected``; results are
 therefore independent of how replicates are scheduled.  Degeneracy is
 judged per method, and so is failure: a method whose degenerate draws
-exceed 1%, or whose replicate stays degenerate, fails alone.  Draws can be negative: the pivotal distributions have heavy
-tails when any group's mean/sd ratio is small, and no truncation is
-applied.
+exceed 1%, or whose replicate stays degenerate, fails alone.  Draws can
+be negative: the pivotal distributions have heavy tails when any group's
+mean/sd ratio is small, and no truncation is applied.
 """
 
 from __future__ import annotations
@@ -99,27 +103,67 @@ def _variates(stream: SeededStream, dfs: np.ndarray, b: int) -> tuple[np.ndarray
     return u, zg
 
 
-def _pivot_values(groups: GroupArrays, u: np.ndarray, zg: np.ndarray) -> dict:
-    """All three pivots from one D per replicate.
+def _pivot_values(groups: GroupArrays, u: np.ndarray, zg: np.ndarray, methods) -> dict:
+    """The requested pivots, one column of D at a time.
 
-    u and zg are (b, k) arrays; returns {method: (values, degenerate_mask)},
-    both of length b.  A value is degenerate when it is not finite, which
+    u and zg are (b, k) arrays; returns {method: (values, degenerate_mask)}
+    for each of ``methods``, both of length b.  Only the sums the methods
+    need are formed: the Tian sum of w_j/D_j for tian and combined, the new
+    sum of n_j*D_j for new and combined.  Column j's D_j is built in one
+    reused buffer from plain-float r_j, df_j and sqrt(n_j), and its terms
+    are added in the order numpy's ``sum(axis=1)`` adds a row, so every
+    value equals, bit for bit, the module docstring's formulas evaluated
+    on (b, k) arrays.  A value is degenerate when it is not finite, which
     includes every zero denominator.
     """
     ns, means, sds, dfs = groups
-    d = means / sds * np.sqrt(u / dfs) - zg / np.sqrt(ns)
+    want_tian = Method.TIAN in methods or Method.COMBINED in methods
+    want_new = Method.NEW in methods or Method.COMBINED in methods
+    b, k = u.shape[0], ns.size
+    d, term = np.empty(b), np.empty((want_tian + want_new, b))
+    # numpy's row-wise sum adds fewer than 8 elements left to right from
+    # +0.0, and 8 or more pairwise, so from 8 on the terms are stacked
+    # and numpy sums them
+    sums = np.zeros(term.shape) if k < 8 else np.empty(term.shape + (k,))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tian = np.sum(dfs / d, axis=1) / dfs.sum()
-        new = ns.sum() / np.sum(ns * d, axis=1)
-        combined = 0.5 * (tian + new)
-    return {
-        method: (vals, ~np.isfinite(vals))
-        for method, vals in ((Method.TIAN, tian), (Method.NEW, new), (Method.COMBINED, combined))
-    }
+        for j in range(k):
+            n, df = float(ns[j]), float(dfs[j])
+            np.divide(u[:, j], df, out=d)
+            np.sqrt(d, out=d)
+            np.multiply(d, float(means[j]) / float(sds[j]), out=d)
+            np.subtract(d, np.divide(zg[:, j], math.sqrt(n), out=term[-1]), out=d)
+            if want_tian:
+                np.divide(df, d, out=term[0])
+            if want_new:
+                np.multiply(d, n, out=term[-1])
+            if k < 8:
+                sums += term
+            else:
+                sums[..., j] = term
+        if k >= 8:
+            sums = sums.sum(axis=-1)
+        pivots = {}
+        if want_tian:
+            pivots[Method.TIAN] = tian = np.divide(sums[0], dfs.sum(), out=sums[0])
+        if want_new:
+            pivots[Method.NEW] = new = np.divide(ns.sum(), sums[-1], out=sums[-1])
+        if Method.COMBINED in methods:
+            pivots[Method.COMBINED] = combined = np.add(tian, new, out=d)
+            combined *= 0.5
+    result = {}
+    for method in methods:
+        bad = np.isfinite(pivots[method])
+        result[method] = pivots[method], np.logical_not(bad, out=bad)
+    return result
 
 
 def _single_draw(groups: GroupArrays, method: Method, u, z) -> float:
-    vals, bad = _pivot_values(groups, np.atleast_2d(u), np.atleast_2d(z))[method]
+    u, z = np.atleast_2d(u), np.atleast_2d(z)
+    if u.shape != (1, groups.ns.size) or z.shape != u.shape:
+        raise ValidationError(
+            f"need one u and one z per group ({groups.ns.size}), got {u.shape[-1]} and {z.shape[-1]}"
+        )
+    vals, bad = _pivot_values(groups, u, z, (method,))[method]
     if bad[0]:
         raise DegenerateDenominatorError("pivotal draw is not finite (zero denominator or overflow)")
     return float(vals[0])
@@ -157,7 +201,7 @@ def _resample(groups, method, base, rows, values):
         stream = base.substream(ROLE_RESAMPLE, int(r))
         for _ in range(_MAX_RESAMPLE_ATTEMPTS):
             count += 1
-            vals, bad = _pivot_values(groups, *_variates(stream, groups.dfs, 1))[method]
+            vals, bad = _pivot_values(groups, *_variates(stream, groups.dfs, 1), (method,))[method]
             if not bad[0]:
                 values[r] = vals[0]
                 break
@@ -193,14 +237,20 @@ def _pivot_value_arrays(study, methods, m, seed):
     groups = group_arrays(study)
     base = SeededStream(seed)
 
-    values = {method: np.empty(m) for method in methods}
-    bad_masks = {method: np.empty(m, dtype=bool) for method in methods}
-    for start in range(0, m, _BLOCK):
-        stop = min(start + _BLOCK, m)
-        stream = base.substream(ROLE_PIVOT_BLOCK, start // _BLOCK)
-        pivots = _pivot_values(groups, *_variates(stream, groups.dfs, stop - start))
-        for method in methods:
-            values[method][start:stop], bad_masks[method][start:stop] = pivots[method]
+    if m <= _BLOCK:
+        stream = base.substream(ROLE_PIVOT_BLOCK, 0)
+        pivots = _pivot_values(groups, *_variates(stream, groups.dfs, m), methods)
+        values = {method: pivots[method][0] for method in methods}
+        bad_masks = {method: pivots[method][1] for method in methods}
+    else:
+        values = {method: np.empty(m) for method in methods}
+        bad_masks = {method: np.empty(m, dtype=bool) for method in methods}
+        for start in range(0, m, _BLOCK):
+            stop = min(start + _BLOCK, m)
+            stream = base.substream(ROLE_PIVOT_BLOCK, start // _BLOCK)
+            pivots = _pivot_values(groups, *_variates(stream, groups.dfs, stop - start), methods)
+            for method in methods:
+                values[method][start:stop], bad_masks[method][start:stop] = pivots[method]
 
     rejected = {}
     for method in methods:

@@ -47,13 +47,23 @@ def mix_components(*components: int) -> int:
 
 
 class SeededStream:
-    """Random stream fully determined by ``(master_seed, stream_id)``."""
+    """Random stream fully determined by ``(master_seed, stream_id)``.
+
+    The generator is built on the first draw, so a stream used only to
+    derive sub-streams costs no more than folding their ids.
+    """
 
     def __init__(self, master_seed: int, stream_id: int = 0):
         self.master_seed = int(master_seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        seq = np.random.SeedSequence([self.master_seed, self.stream_id])
-        self._rng = np.random.Generator(np.random.PCG64(seq))
+        self._generator = None
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        if self._generator is None:
+            seq = np.random.SeedSequence([self.master_seed, self.stream_id])
+            self._generator = np.random.Generator(np.random.PCG64(seq))
+        return self._generator
 
     def __repr__(self):
         return f"SeededStream(master_seed={self.master_seed}, stream_id={self.stream_id})"

@@ -2,7 +2,8 @@
 
 Independent of the package: plain numpy default_rng, scalar formulas written
 straight from the definitions. Used to freeze expected quantiles for the
-regression tests. Run: python3 tests/oracles/pivot_quantiles.py
+regression tests; tests/test_pivotal.py also pins the package's draws to
+pivot_formulas bit for bit. Run: python3 tests/oracles/pivot_quantiles.py
 """
 import numpy as np
 
@@ -11,12 +12,18 @@ M = 2_000_000
 
 def pivots(rng, ns, means, sds, m):
     k = len(ns)
-    ratios = np.array(means) / np.array(sds)
-    nsa = np.array(ns, dtype=float)
-    dfs = nsa - 1.0
+    dfs = np.array(ns, dtype=float) - 1.0
     u = rng.chisquare(dfs, size=(m, k))
     zg = rng.standard_normal((m, k))
     z0 = rng.standard_normal(m)  # spare slot in the layout, not consumed
+    return pivot_formulas(ns, means, sds, u, zg)
+
+
+def pivot_formulas(ns, means, sds, u, zg):
+    """The three pivots of (m, k) chi-squares u and normals zg, by broadcasting."""
+    ratios = np.array(means) / np.array(sds)
+    nsa = np.array(ns, dtype=float)
+    dfs = nsa - 1.0
     d = ratios * np.sqrt(u / dfs) - zg / np.sqrt(nsa)
     t1 = (dfs / d).sum(axis=1) / dfs.sum()
     # The pooled pivot's single normal is sqrt(n)*(pooled deviation), i.e.
@@ -40,6 +47,7 @@ def report(name, ns, means, sds):
         print(f"{name} {label}: 2.5%={lo:.6f} median={med:.6f} 97.5%={hi:.6f} length={hi-lo:.6f}")
 
 
-report("survey  ", [63, 72], [84.13, 85.68], [3.390, 2.946])
-report("hospital", [5, 4, 3, 10], [168.0, 59.5, 45.666666666666664, 154.6],
-       [82.94877938166561, 66.78573150530814, 26.727020033405, 94.31177020842435])
+if __name__ == "__main__":
+    report("survey  ", [63, 72], [84.13, 85.68], [3.390, 2.946])
+    report("hospital", [5, 4, 3, 10], [168.0, 59.5, 45.666666666666664, 154.6],
+           [82.94877938166561, 66.78573150530814, 26.727020033405, 94.31177020842435])

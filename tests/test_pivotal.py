@@ -5,8 +5,9 @@ from scipy import stats
 
 from common_cv import pivotal
 from common_cv.errors import DegenerateDenominatorError, DegenerateRateError, ValidationError
-from common_cv.model import Alternative, Method, SampleSummary, Study
+from common_cv.model import Alternative, Method, SampleSummary, Study, group_arrays
 from common_cv.pivotal import (
+    _BLOCK,
     _MAX_DRAWS,
     PivotalDraws,
     _pivot_value_arrays,
@@ -21,7 +22,8 @@ from common_cv.pivotal import (
     quantile,
     tian_draw,
 )
-from common_cv.randgen import SeededStream
+from common_cv.randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream
+from oracles.pivot_quantiles import pivot_formulas, pivots as oracle_pivots
 
 # 95% quantiles recomputed by tests/oracles/pivot_quantiles.py with plain
 # numpy randomness at m = 2e6; package values at m = 2e5 must land nearby
@@ -61,6 +63,16 @@ class TestDrawFormulas:
         g = [SampleSummary(n=4, mean=3.0, sd=1.0), SampleSummary(n=4, mean=3.0, sd=1.0)]
         with pytest.raises(DegenerateDenominatorError):
             tian_draw(g, u=[3.0, 3.0], z=[6.0, 0.0])
+
+    @pytest.mark.parametrize("u, z", [
+        ([4.0], [0.0, 0.0]),
+        ([4.0, 4.0, 4.0], [0.0, 0.0, 0.0]),
+        ([4.0, 4.0], [0.0]),
+    ])
+    def test_one_variate_per_group(self, u, z):
+        gs = [SampleSummary(n=5, mean=2.0, sd=1.0), SampleSummary(n=5, mean=2.0, sd=1.0)]
+        with pytest.raises(ValidationError):
+            tian_draw(gs, u=u, z=z)
 
     def test_new_single_group_hand_value(self):
         g = [SampleSummary(n=5, mean=2.0, sd=1.0)]
@@ -175,11 +187,11 @@ class TestDegenerateHandling:
     def _flag_first_rows(fraction, methods=(Method.TIAN, Method.NEW, Method.COMBINED)):
         original = pivotal._pivot_values
 
-        def patched(groups, u, zg):
-            pivots = original(groups, u, zg)
+        def patched(groups, u, zg, requested):
+            pivots = original(groups, u, zg, requested)
             b = len(u)
             if b > 1:  # block pass only; leave resampling attempts clean
-                for method in methods:
+                for method in pivots.keys() & set(methods):
                     vals, bad = pivots[method]
                     bad = bad.copy()
                     bad[: max(1, int(fraction * b))] = True
@@ -200,9 +212,9 @@ class TestDegenerateHandling:
             generate_draws(surveys, Method.NEW, 2000, seed=0)
 
     def test_unrecoverable_replicate(self, surveys, monkeypatch):
-        def always_bad(groups, u, zg):
+        def always_bad(groups, u, zg, requested):
             vals = np.zeros(len(u))
-            return {method: (vals, np.ones(len(u), dtype=bool)) for method in Method}
+            return {method: (vals, np.ones(len(u), dtype=bool)) for method in requested}
 
         monkeypatch.setattr(pivotal, "_pivot_values", always_bad)
         with pytest.raises(DegenerateRateError):
@@ -218,6 +230,88 @@ class TestDegenerateHandling:
         assert rejected == {Method.TIAN: 0, Method.NEW: 40, Method.COMBINED: 0}
         for method in (Method.TIAN, Method.COMBINED):
             assert np.array_equal(values[method], clean[method])
+
+
+def _broadcast(groups, u, zg):
+    """{method: pivots} of (b, k) variates by the oracle's broadcast formulas."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = pivot_formulas(groups.ns, groups.means, groups.sds, u, zg)
+    return dict(zip((Method.TIAN, Method.NEW, Method.COMBINED), values))
+
+
+class TestDrawsPinnedToBroadcastFormulas:
+    """The engine's draws equal, bit for bit, the broadcast formulas applied
+    to each block's variates rebuilt from the documented layout."""
+
+    ALONE_AND_ALL = [
+        (Method.TIAN,), (Method.NEW,), (Method.COMBINED,), (Method.TIAN, Method.NEW, Method.COMBINED)
+    ]
+
+    @pytest.mark.parametrize("study_name", ["surveys", "hospital", "toy_study"])
+    @pytest.mark.parametrize("m", [2000, _BLOCK, _BLOCK + 17])
+    @pytest.mark.parametrize("methods", ALONE_AND_ALL)
+    def test_blocks(self, request, study_name, m, methods):
+        study = request.getfixturevalue(study_name)
+        groups, seed = group_arrays(study), 2718
+        blocks = [
+            _broadcast(groups, *pivotal._variates(
+                SeededStream(seed).substream(ROLE_PIVOT_BLOCK, i), groups.dfs, min(_BLOCK, m - start)
+            ))
+            for i, start in enumerate(range(0, m, _BLOCK))
+        ]
+        values, rejected = _pivot_value_arrays(study, methods, m, seed)
+        for method in methods:
+            expected = np.concatenate([block[method] for block in blocks])
+            assert np.all(np.isfinite(expected)) and rejected[method] == 0
+            assert np.array_equal(values[method], expected)
+
+    @pytest.mark.parametrize("k", [8, 9, 17, 130])
+    def test_wide_studies(self, k):
+        # from 8 columns on, a row-wise sum adds pairwise, not left to right
+        rng = np.random.default_rng(k)
+        study = Study(groups=tuple(
+            SampleSummary(n=int(n), mean=float(mean), sd=float(sd))
+            for n, mean, sd in zip(rng.integers(2, 40, k), rng.uniform(0.5, 5.0, k), rng.uniform(0.5, 3.0, k))
+        ))
+        groups, methods = group_arrays(study), (Method.TIAN, Method.NEW, Method.COMBINED)
+        expected = _broadcast(groups, *pivotal._variates(
+            SeededStream(k).substream(ROLE_PIVOT_BLOCK, 0), groups.dfs, 2000
+        ))
+        values = _pivot_value_arrays(study, methods, 2000, k)[0]
+        for method in methods:
+            assert np.array_equal(values[method], expected[method])
+
+    def test_regenerated_replicates(self, surveys, monkeypatch):
+        """Rows flagged in the block pass are redrawn from their own
+        sub-stream; each first attempt is flagged too, so the kept value is
+        the second full-layout replicate, after the first one's spare normal."""
+        original = pivotal._pivot_values
+        single_calls = []
+
+        def patched(groups, u, zg, requested):
+            drawn = original(groups, u, zg, requested)
+            if len(u) > 1:
+                flag = np.arange(len(u)) % 700 == 3
+            else:
+                single_calls.append(1)
+                flag = np.full(1, len(single_calls) % 2 == 1)
+            return {method: (vals, bad | flag) for method, (vals, bad) in drawn.items()}
+
+        seed, m = 31, 2000
+        clean = _pivot_value_arrays(surveys, (Method.COMBINED,), m, seed)[0][Method.COMBINED]
+        monkeypatch.setattr(pivotal, "_pivot_values", patched)
+        values, rejected = _pivot_value_arrays(surveys, (Method.COMBINED,), m, seed)
+        rows = np.nonzero(np.arange(m) % 700 == 3)[0]
+        assert rejected[Method.COMBINED] == 2 * rows.size
+        expected = clean.copy()
+        summary = [[g.n for g in surveys], [g.mean for g in surveys], [g.sd for g in surveys]]
+        for r in rows:
+            child = SeededStream(seed).substream(ROLE_RESAMPLE, int(r))
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, child.stream_id])))
+            oracle_pivots(rng, *summary, 1)  # the flagged first attempt
+            expected[r] = oracle_pivots(rng, *summary, 1)[2][0]
+        assert np.array_equal(values[Method.COMBINED], expected)
+        assert not np.array_equal(values[Method.COMBINED], clean)
 
 
 class TestQuantile:

@@ -105,6 +105,20 @@ class TestStreamDerivation:
             SeededStream(9).standard_normal(20), child.standard_normal(20)
         )
 
+    def test_draws_are_plain_pcg64_on_the_seed_pair(self):
+        stream = SeededStream(7, 3)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([7, 3])))
+        assert np.array_equal(stream.chi_square([4, 9], size=(50, 2)), rng.chisquare([4, 9], (50, 2)))
+        assert np.array_equal(stream.standard_normal(50), rng.standard_normal(50))
+
+    def test_deriving_children_builds_no_generator(self):
+        parent = SeededStream(11, 5)
+        child = parent.substream(ROLE_PIVOT_BLOCK, 2)
+        assert parent._generator is None
+        seq = np.random.SeedSequence([11, mix_components(5, ROLE_PIVOT_BLOCK, 2)])
+        rng = np.random.Generator(np.random.PCG64(seq))
+        assert np.array_equal(child.standard_normal(20), rng.standard_normal(20))
+
     def test_roles_distinct(self):
         roles = {ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, ROLE_SIM_DATA, ROLE_SIM_PIVOTS}
         assert len(roles) == 4
