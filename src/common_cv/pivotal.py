@@ -31,6 +31,16 @@ Realizing Z this way leaves the new pivot's own distribution unchanged (an
 independent draw would too) but fixes the joint distribution of the two
 pivots, which is what the combined average depends on.
 
+Draws come in blocks of 2^15 replicates, each from the sub-stream keyed by
+its block index.  The blocks of one call are filled on every CPU the
+process may use, one thread per CPU up to the number of blocks, the
+calling thread among them; each block writes only its own slice, so the
+values are the same bit for bit for any thread count.  A call of one
+block (m <= 2^15, as in every coverage replication) starts no thread.
+The kernel runs over a block in passes of 2^13 replicates, reading the
+stream in the same order, so a thread holds the block's chi-squares and
+one pass's normals and buffers at a time.
+
 A replicate whose value is not finite (an exactly zero denominator, or
 overflow) is degenerate for that method.  It is regenerated from a
 per-replicate sub-stream and counted in ``rejected``; results are
@@ -44,6 +54,8 @@ mean/sd ratio is small, and no truncation is applied.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,8 +82,11 @@ from .model import (
 from .randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream
 
 _MIN_DRAWS = 100
-_MAX_DRAWS = 10**7  # one float array and one mask per method: about 90 MB each
+_MAX_DRAWS = 10**7  # one float array of m values per method: about 80 MB each
 _BLOCK = 1 << 15
+_SLICE = 1 << 13  # replicates per kernel pass: bounds the working set a thread holds
+# threads that fill the blocks of one engine call: every CPU this process may use
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _MAX_RESAMPLE_ATTEMPTS = 1000
 _MAX_REJECTED_FRACTION = 0.01
 
@@ -101,6 +116,19 @@ def _variates(stream: SeededStream, dfs: np.ndarray, b: int) -> tuple[np.ndarray
     zg = stream.standard_normal((b, dfs.size))
     stream.standard_normal(b)
     return u, zg
+
+
+def _variate_slices(stream: SeededStream, dfs: np.ndarray, b: int):
+    """The same block as :func:`_variates`, for the kernel in passes of
+    ``_SLICE`` rows: yields (first row, u rows, zg rows).  The stream is
+    read in the same order (all (b, k) chi-squares, then the normals row
+    by row, then the b spare normals), so every value is the same; only
+    one pass's normals are held at a time."""
+    u = stream.chi_square(dfs, size=(b, dfs.size))
+    for first in range(0, b, _SLICE):
+        zg = stream.standard_normal((min(_SLICE, b - first), dfs.size))
+        yield first, u[first:first + _SLICE], zg
+    stream.standard_normal(b)
 
 
 def _pivot_values(groups: GroupArrays, u: np.ndarray, zg: np.ndarray, methods) -> dict:
@@ -226,6 +254,15 @@ def _pivot_value_arrays(study, methods, m, seed):
     replicate index, so a method's output is identical whether it is
     computed alone or alongside others.  The rejected count is the number
     of regenerated replicates drawn, also for a method that failed.
+
+    Blocks are filled on W = min(_WORKERS, blocks) threads, the calling
+    thread included: worker w takes blocks w, w + W, w + 2W, ...  Each
+    kernel pass writes its own slice of the value arrays and lists its
+    degenerate rows in its own slot, so the result is bit-identical for
+    any worker count; the rows are then regenerated serially in ascending
+    order.  One block stays on the calling thread, and a call of one pass
+    (m <= 2^13) returns the kernel's arrays without a copy.  An exception
+    in any worker is raised here once every worker has joined.
     """
     if m < _MIN_DRAWS:
         raise ValidationError(f"need at least {_MIN_DRAWS} draws, got {m}")
@@ -236,25 +273,55 @@ def _pivot_value_arrays(study, methods, m, seed):
             raise ValidationError(f"not a pivotal method: {method}")
     groups = group_arrays(study)
     base = SeededStream(seed)
+    blocks = -(-m // _BLOCK)
+    workers = min(_WORKERS, blocks)
+    # a call of one kernel pass keeps the kernel's arrays; more passes fill
+    # disjoint slices of these, and each pass lists its degenerate rows in
+    # its own slot (a block is a whole number of passes)
+    values = {method: np.empty(m) for method in methods} if m > _SLICE else {}
+    bad_rows = {method: [None] * -(-m // _SLICE) for method in methods}
+    errors = [None] * workers
 
-    if m <= _BLOCK:
-        stream = base.substream(ROLE_PIVOT_BLOCK, 0)
-        pivots = _pivot_values(groups, *_variates(stream, groups.dfs, m), methods)
-        values = {method: pivots[method][0] for method in methods}
-        bad_masks = {method: pivots[method][1] for method in methods}
-    else:
-        values = {method: np.empty(m) for method in methods}
-        bad_masks = {method: np.empty(m, dtype=bool) for method in methods}
-        for start in range(0, m, _BLOCK):
-            stop = min(start + _BLOCK, m)
-            stream = base.substream(ROLE_PIVOT_BLOCK, start // _BLOCK)
-            pivots = _pivot_values(groups, *_variates(stream, groups.dfs, stop - start), methods)
+    def fill_block(i):
+        # a function, so that a block's arrays are freed before the next
+        # block is drawn: a thread holds one block's working set at a time
+        start = i * _BLOCK
+        stream = base.substream(ROLE_PIVOT_BLOCK, i)
+        for first, u, zg in _variate_slices(stream, groups.dfs, min(_BLOCK, m - start)):
+            pivots = _pivot_values(groups, u, zg, methods)
+            first += start
             for method in methods:
-                values[method][start:stop], bad_masks[method][start:stop] = pivots[method]
+                vals, bad = pivots[method]
+                if m > _SLICE:
+                    values[method][first:first + vals.size] = vals
+                else:
+                    values[method] = vals
+                bad_rows[method][first // _SLICE] = np.flatnonzero(bad) + first
+
+    def fill(worker):
+        try:
+            for i in range(worker, blocks, workers):
+                fill_block(i)
+        except BaseException as exc:  # raised by the caller once every worker has joined
+            errors[worker] = exc
+
+    threads = []
+    try:
+        for worker in range(1, workers):
+            thread = threading.Thread(target=fill, args=(worker,))
+            thread.start()
+            threads.append(thread)
+        fill(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
 
     rejected = {}
     for method in methods:
-        rows = np.nonzero(bad_masks[method])[0]
+        rows = np.concatenate(bad_rows[method])  # ascending: the slots are in row order
         rejected[method], error = _resample(groups, method, base, rows, values[method])
         if error is not None:
             values[method] = error

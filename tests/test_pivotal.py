@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -239,6 +243,26 @@ def _broadcast(groups, u, zg):
     return dict(zip((Method.TIAN, Method.NEW, Method.COMBINED), values))
 
 
+def _broadcast_blocks(groups, seed, m):
+    """{method: m pivots}: each block's (b, k) variates rebuilt whole from
+    the documented layout, through the oracle's broadcast formulas."""
+    blocks = [
+        _broadcast(groups, *pivotal._variates(
+            SeededStream(seed).substream(ROLE_PIVOT_BLOCK, i), groups.dfs, min(_BLOCK, m - start)
+        ))
+        for i, start in enumerate(range(0, m, _BLOCK))
+    ]
+    return {method: np.concatenate([block[method] for block in blocks]) for method in blocks[0]}
+
+
+def _wide_study(k):
+    rng = np.random.default_rng(k)
+    return Study(groups=tuple(
+        SampleSummary(n=int(n), mean=float(mean), sd=float(sd))
+        for n, mean, sd in zip(rng.integers(2, 40, k), rng.uniform(0.5, 5.0, k), rng.uniform(0.5, 3.0, k))
+    ))
+
+
 class TestDrawsPinnedToBroadcastFormulas:
     """The engine's draws equal, bit for bit, the broadcast formulas applied
     to each block's variates rebuilt from the documented layout."""
@@ -252,32 +276,33 @@ class TestDrawsPinnedToBroadcastFormulas:
     @pytest.mark.parametrize("methods", ALONE_AND_ALL)
     def test_blocks(self, request, study_name, m, methods):
         study = request.getfixturevalue(study_name)
-        groups, seed = group_arrays(study), 2718
-        blocks = [
-            _broadcast(groups, *pivotal._variates(
-                SeededStream(seed).substream(ROLE_PIVOT_BLOCK, i), groups.dfs, min(_BLOCK, m - start)
-            ))
-            for i, start in enumerate(range(0, m, _BLOCK))
-        ]
+        seed = 2718
+        blocks = _broadcast_blocks(group_arrays(study), seed, m)
         values, rejected = _pivot_value_arrays(study, methods, m, seed)
         for method in methods:
-            expected = np.concatenate([block[method] for block in blocks])
+            expected = blocks[method]
             assert np.all(np.isfinite(expected)) and rejected[method] == 0
             assert np.array_equal(values[method], expected)
 
     @pytest.mark.parametrize("k", [8, 9, 17, 130])
     def test_wide_studies(self, k):
         # from 8 columns on, a row-wise sum adds pairwise, not left to right
-        rng = np.random.default_rng(k)
-        study = Study(groups=tuple(
-            SampleSummary(n=int(n), mean=float(mean), sd=float(sd))
-            for n, mean, sd in zip(rng.integers(2, 40, k), rng.uniform(0.5, 5.0, k), rng.uniform(0.5, 3.0, k))
-        ))
+        study = _wide_study(k)
         groups, methods = group_arrays(study), (Method.TIAN, Method.NEW, Method.COMBINED)
         expected = _broadcast(groups, *pivotal._variates(
             SeededStream(k).substream(ROLE_PIVOT_BLOCK, 0), groups.dfs, 2000
         ))
         values = _pivot_value_arrays(study, methods, 2000, k)[0]
+        for method in methods:
+            assert np.array_equal(values[method], expected[method])
+
+    @pytest.mark.parametrize("k", [8, 17])
+    def test_wide_studies_over_several_passes(self, k):
+        # each block is computed in passes of _SLICE rows; a row's pairwise
+        # sum does not depend on how many rows share the pass
+        study, methods = _wide_study(k), (Method.TIAN, Method.NEW, Method.COMBINED)
+        expected = _broadcast_blocks(group_arrays(study), k, _BLOCK + 17)
+        values = _pivot_value_arrays(study, methods, _BLOCK + 17, k)[0]
         for method in methods:
             assert np.array_equal(values[method], expected[method])
 
@@ -312,6 +337,121 @@ class TestDrawsPinnedToBroadcastFormulas:
             expected[r] = oracle_pivots(rng, *summary, 1)[2][0]
         assert np.array_equal(values[Method.COMBINED], expected)
         assert not np.array_equal(values[Method.COMBINED], clean)
+
+
+class TestBlocksOnThreads:
+    """The blocks of one engine call are filled on up to ``_WORKERS``
+    threads; values, rejected counts and errors do not depend on how many."""
+
+    M = 3 * _BLOCK + 17  # four blocks, the last one short
+    WORKER_COUNTS = (1, 2, 3, 7)
+    ALL = (Method.TIAN, Method.NEW, Method.COMBINED)
+
+    @pytest.fixture
+    def fast_switching(self):
+        # switch threads often, so unsynchronised shared writes would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _per_worker_count(self, monkeypatch, run):
+        results = []
+        for workers in self.WORKER_COUNTS:
+            monkeypatch.setattr(pivotal, "_WORKERS", workers)
+            results.append(run())
+        return results
+
+    @pytest.mark.parametrize("study_name", ["surveys", "hospital"])
+    @pytest.mark.parametrize("methods", TestDrawsPinnedToBroadcastFormulas.ALONE_AND_ALL)
+    def test_values_do_not_depend_on_worker_count(self, request, monkeypatch, fast_switching, study_name, methods):
+        study = request.getfixturevalue(study_name)
+        runs = self._per_worker_count(monkeypatch, lambda: _pivot_value_arrays(study, methods, self.M, seed=4))
+        (values, rejected), others = runs[0], runs[1:]
+        for other_values, other_rejected in others:
+            assert other_rejected == rejected == {method: 0 for method in methods}
+            for method in methods:
+                assert np.array_equal(other_values[method], values[method])
+
+    @staticmethod
+    def _flag_row_3(study, seed, also_single_rows):
+        """Flags row 3 of every multi-row kernel pass outside block 0, whose
+        passes it tells apart by their variates, and every single-row
+        resampling attempt if ``also_single_rows``."""
+        groups, original = group_arrays(study), pivotal._pivot_values
+        first_block = pivotal._variates(SeededStream(seed).substream(ROLE_PIVOT_BLOCK, 0), groups.dfs, _BLOCK)[0]
+
+        def patched(groups, u, zg, requested):
+            drawn = original(groups, u, zg, requested)
+            flag = np.zeros(len(u), dtype=bool)
+            if len(u) > 1:
+                flag[3] = not (first_block == u[0]).all(axis=1).any()
+            else:
+                flag[0] = also_single_rows
+            return {method: (vals, bad | flag) for method, (vals, bad) in drawn.items()}
+
+        return patched
+
+    def test_regenerated_rows_do_not_depend_on_worker_count(self, hospital, monkeypatch, fast_switching):
+        clean = _pivot_value_arrays(hospital, self.ALL, self.M, seed=9)[0]
+        monkeypatch.setattr(pivotal, "_pivot_values", self._flag_row_3(hospital, 9, also_single_rows=False))
+        runs = self._per_worker_count(monkeypatch, lambda: _pivot_value_arrays(hospital, self.ALL, self.M, seed=9))
+        rows = np.arange(_BLOCK + 3, self.M, pivotal._SLICE)  # row 3 of each pass in blocks 1 to 3
+        for values, rejected in runs:
+            assert rejected == {method: rows.size for method in self.ALL}
+            for method in self.ALL:
+                assert np.array_equal(values[method], runs[0][0][method])
+                assert np.array_equal(np.flatnonzero(values[method] != clean[method]), rows)
+
+    def test_first_unrecoverable_replicate_named(self, surveys, monkeypatch):
+        # rows are resampled in ascending order whichever thread filled them
+        monkeypatch.setattr(pivotal, "_pivot_values", self._flag_row_3(surveys, 9, also_single_rows=True))
+        runs = self._per_worker_count(monkeypatch, lambda: _pivot_value_arrays(surveys, self.ALL, self.M, seed=9))
+        for values, rejected in runs:
+            assert rejected == {method: 1000 for method in self.ALL}
+            for method in self.ALL:
+                assert isinstance(values[method], DegenerateRateError)
+                assert str(values[method]) == f"replicate {_BLOCK + 3} stayed degenerate after 1000 attempts"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_worker_error_raised_after_every_worker_joined(self, surveys, monkeypatch, workers):
+        groups, seed = group_arrays(surveys), 5
+        third_block = pivotal._variates(SeededStream(seed).substream(ROLE_PIVOT_BLOCK, 2), groups.dfs, _BLOCK)[0]
+        third_block = third_block[:pivotal._SLICE]  # its first kernel pass
+        original = pivotal._pivot_values
+
+        def fail_third_block(groups, u, zg, requested):
+            if u.shape == third_block.shape and np.array_equal(u, third_block):
+                raise RuntimeError("third block")
+            time.sleep(0.05)  # the other passes are still running when it fails
+            return original(groups, u, zg, requested)
+
+        monkeypatch.setattr(pivotal, "_WORKERS", workers)
+        monkeypatch.setattr(pivotal, "_pivot_values", fail_third_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third block"):
+            _pivot_value_arrays(surveys, self.ALL, self.M, seed)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("m, started", [(2000, 0), (_BLOCK, 0), (_BLOCK + 1, 1), (M, 3)])
+    def test_threads_started(self, surveys, monkeypatch, m, started):
+        # one block stays on the calling thread; more start one thread per
+        # extra worker, capped at the number of blocks
+        starts = []
+        original_start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread)
+            original_start(thread)
+
+        monkeypatch.setattr(pivotal, "_WORKERS", 7)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        before = threading.active_count()
+        _pivot_value_arrays(surveys, self.ALL, m, seed=1)
+        assert len(starts) == started
+        assert threading.active_count() == before
 
 
 class TestQuantile:
