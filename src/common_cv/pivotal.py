@@ -247,13 +247,14 @@ def _resample(groups, method, base, rows, values):
 def _pivot_value_arrays(study, methods, m, seed):
     """Shared engine: m draws per requested method from one base layout.
 
-    Returns ({method: values}, {method: rejected_count}).  A method whose
-    draws failed maps to its NumericalError instead of an array, and the
-    other methods are unaffected.  Per-method degenerate replicates are
-    regenerated independently, each from the sub-stream keyed by its
-    replicate index, so a method's output is identical whether it is
-    computed alone or alongside others.  The rejected count is the number
-    of regenerated replicates drawn, also for a method that failed.
+    Returns ({method: values}, {method: rejected_count}), both empty when
+    no method is requested.  A method whose draws failed maps to its
+    NumericalError instead of an array, and the other methods are
+    unaffected.  Per-method degenerate replicates are regenerated
+    independently, each from the sub-stream keyed by its replicate index,
+    so a method's output is identical whether it is computed alone or
+    alongside others.  The rejected count is the number of regenerated
+    replicates drawn, also for a method that failed.
 
     Blocks are filled on W = min(_WORKERS, blocks) threads, the calling
     thread included: worker w takes blocks w, w + W, w + 2W, ...  Each
@@ -271,6 +272,8 @@ def _pivot_value_arrays(study, methods, m, seed):
     for method in methods:
         if method not in PIVOTAL_METHODS:
             raise ValidationError(f"not a pivotal method: {method}")
+    if not methods:
+        return {}, {}
     groups = group_arrays(study)
     base = SeededStream(seed)
     blocks = -(-m // _BLOCK)
@@ -345,20 +348,29 @@ def generate_draws(study: Study | Sequence[SampleSummary], method: Method, m: in
     return PivotalDraws(method=method, values=_only(values, method), seed=seed, rejected=rejected[method])
 
 
+def _order_index(p: float, m: int) -> int:
+    """0-based index of the ceil(p*m)-th order statistic of m values.
+
+    The product p*m is evaluated with a 1e-9 slack so that fractions like
+    0.025 * 10**6, which float arithmetic carries a hair above the exact
+    integer, still select the intended rank; the rank is clamped to
+    [1, m].
+    """
+    return min(max(math.ceil(p * m - 1e-9), 1), m) - 1
+
+
 def quantile(draws: PivotalDraws | np.ndarray, p: float) -> float:
     """Lower empirical quantile: the ceil(p*m)-th order statistic (1-based).
 
-    No interpolation.  The product p*m is evaluated with a 1e-9 slack so
-    that fractions like 0.025 * 10**6, which float arithmetic carries a
-    hair above the exact integer, still select the intended rank.
+    No interpolation; see :func:`_order_index` for the rank rule.  The
+    caller's array is left as it was, so selecting costs one copy of it;
+    :func:`intervals` selects in place on draws it owns instead.
     """
     if not 0.0 < p < 1.0:
         raise ValidationError(f"quantile level must be in (0, 1), got {p}")
     vals = draws.values if isinstance(draws, PivotalDraws) else np.asarray(draws, float)
-    m = vals.size
-    rank = math.ceil(p * m - 1e-9)
-    rank = min(max(rank, 1), m)
-    return float(np.partition(vals, rank - 1)[rank - 1])
+    i = _order_index(p, vals.size)
+    return float(np.partition(vals, i)[i])
 
 
 def intervals(study: Study, methods: Sequence[Method], level: float, m: int, seed: int) -> dict:
@@ -367,12 +379,20 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
     The pivotal methods share one engine call, each getting exactly the
     equal-tailed interval it gets alone; ``vj`` is closed-form and ignores
     m and seed.  Invalid arguments raise ValidationError.
+
+    Each end is the order statistic :func:`quantile` would give, selected
+    in place on the engine's own array (the lower end first, then the
+    upper), so a call holds one array of m values per pivotal method and
+    no copy of it.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
     pivotal = tuple(method for method in methods if method is not Method.VERRILL_JOHNSON)
     values = _pivot_value_arrays(study, pivotal, m, seed)[0] if pivotal else {}
     alpha = 1.0 - level
+    # one single-kth partition per end: a multi-kth np.partition(vals, [lo, hi])
+    # is several times slower than two of them at m = 10^6
+    lo, hi = _order_index(alpha / 2.0, m), _order_index(1.0 - alpha / 2.0, m)
     results = {}
     for method in methods:
         if method is Method.VERRILL_JOHNSON:
@@ -383,8 +403,11 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
         elif isinstance(values[method], NumericalError):
             results[method] = values[method]
         else:
-            lower, upper = (quantile(values[method], p) for p in (alpha / 2.0, 1.0 - alpha / 2.0))
-            results[method] = IntervalResult(method, level, lower, upper, draws=m, seed=seed)
+            vals = values[method]
+            vals.partition(lo)
+            lower = float(vals[lo])
+            vals.partition(hi)
+            results[method] = IntervalResult(method, level, lower, float(vals[hi]), draws=m, seed=seed)
     return results
 
 

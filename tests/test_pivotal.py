@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -617,11 +618,36 @@ class TestFrontDoor:
     ALL = (Method.TIAN, Method.VERRILL_JOHNSON, Method.NEW, Method.COMBINED)
     PIVOTAL = (Method.TIAN, Method.NEW, Method.COMBINED)
 
-    @pytest.mark.parametrize("method", ALL)
-    def test_interval_alone_matches_joint(self, hospital, method):
-        joint = intervals(hospital, self.ALL, 0.95, 1000, seed=4)
-        assert intervals(hospital, (method,), 0.95, 1000, seed=4) == {method: joint[method]}
-        assert confidence_interval(hospital, method, 0.95, 1000, seed=4) == joint[method]
+    # At m = 1000 the tian and new draws are rows of one kernel buffer, so
+    # selecting one's ends in place must leave the other as it was; at
+    # 2^15 + 17 they span two blocks.  The m = 1000 ids keep their names.
+    @pytest.mark.parametrize("method, m", [
+        *(pytest.param(method, 1000, id=str(method)) for method in ALL),
+        *(pytest.param(method, _BLOCK + 17, id=f"{method}-{_BLOCK + 17}") for method in ALL),
+    ])
+    def test_interval_alone_matches_joint(self, hospital, method, m):
+        joint = intervals(hospital, self.ALL, 0.95, m, seed=4)
+        assert intervals(hospital, (method,), 0.95, m, seed=4) == {method: joint[method]}
+        assert confidence_interval(hospital, method, 0.95, m, seed=4) == joint[method]
+        if method is not Method.VERRILL_JOHNSON:
+            values = generate_draws(hospital, method, m, seed=4).values
+            assert (joint[method].lower, joint[method].upper) == (
+                quantile(values, 0.025), quantile(values, 0.975)
+            )
+
+    def test_ends_selected_without_a_copy(self, hospital, monkeypatch):
+        # one method at m = 10^6 holds its 8 MB engine array and one block's
+        # working set; numpy reports its buffers to tracemalloc
+        monkeypatch.setattr(pivotal, "_WORKERS", 1)
+        m = 10**6
+        intervals(hospital, (Method.TIAN,), 0.95, m, seed=0)  # warm-up
+        tracemalloc.start()
+        try:
+            intervals(hospital, (Method.TIAN,), 0.95, m, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * m
 
     @pytest.mark.parametrize("method", PIVOTAL)
     def test_test_alone_matches_joint(self, hospital, method):
@@ -635,6 +661,12 @@ class TestFrontDoor:
         order = (Method.COMBINED, Method.VERRILL_JOHNSON, Method.TIAN)
         assert tuple(intervals(surveys, order, 0.95, 500, seed=0)) == order
         assert tuple(gpq_tests(surveys, order[::2], 0.04, Alternative.LESS, 500, seed=0)) == order[::2]
+
+    def test_no_method_requested(self, surveys):
+        assert intervals(surveys, [], 0.95, 1000, seed=0) == {}
+        assert gpq_tests(surveys, [], 0.04, Alternative.TWO_SIDED, 100000, seed=0) == {}
+        with pytest.raises(ValidationError):
+            gpq_tests(surveys, [], 0.04, Alternative.TWO_SIDED, 99, seed=0)
 
     def test_vj_alone_ignores_draws_and_seed(self, surveys):
         from common_cv.estimators import vj_interval
