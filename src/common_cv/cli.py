@@ -4,7 +4,7 @@ Subcommands: estimate, ci, test, simulate, examples.  Exit codes: 0 on
 success, 1 for validation problems (bad flags, malformed input), 2 for
 numerical failures, 3 for I/O errors.  The default seed is 0, overridden
 by the COMMON_CV_SEED environment variable, which in turn is overridden
-by an explicit --seed.
+by an explicit --seed; a seed is an integer in [0, 2^64).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .io import (
 )
 from .model import Alternative, Method, PIVOTAL_METHODS, Study
 from .pivotal import gpq_tests, intervals
+from .randgen import checked_seed
 from .simulate import ALL_METHODS, SimConfig, run_grid
 
 _METHOD_CHOICES = ["tian", "vj", "new", "combined", "all"]
@@ -103,14 +104,14 @@ def _build_parser() -> _Parser:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
+        return checked_seed(args.seed)
     env = os.environ.get("COMMON_CV_SEED")
     if env is None:
         return 0
     try:
-        return int(env)
-    except ValueError:
-        raise errors.ValidationError(f"COMMON_CV_SEED must be an integer, got {env!r}") from None
+        return checked_seed(int(env))
+    except ValueError:  # not an integer, or one out of range
+        raise errors.ValidationError(f"COMMON_CV_SEED must be an integer in [0, 2^64), got {env!r}") from None
 
 
 def _resolve_methods(name: str, testing: bool = False) -> tuple[Method, ...]:

@@ -34,26 +34,39 @@ pivots, which is what the combined average depends on.
 Draws come in blocks of 2^15 replicates, each from the sub-stream keyed by
 its block index.  The blocks of one call are filled on every CPU the
 process may use, one thread per CPU up to the number of blocks, the
-calling thread among them; each block writes only its own slice, so the
-values are the same bit for bit for any thread count.  A call of one
+calling thread among them; each block reads only its own sub-stream, so
+the values are the same bit for bit for any thread count.  A call of one
 block (m <= 2^15, as in every coverage replication) starts no thread.
 The kernel runs over a block in passes of 2^13 replicates, reading the
 stream in the same order, so a thread holds the block's chi-squares and
 one pass's normals and buffers at a time.
 
+Each kernel pass hands each method's values to a reducer that keeps only
+what the caller reads: every draw in replicate order for
+:func:`generate_draws`, the two tails beyond the interval ends for
+:func:`intervals` (where a buffer of them is at most half the draws), and
+the counts at or below and at or above the null value for
+:func:`gpq_tests`.  Each thread feeds its own reducers, merged
+once every thread has joined.  An order statistic or a count does not
+depend on the order its values arrive in, so every end and p-value is the
+one all m draws in one array give.
+
 A replicate whose value is not finite (an exactly zero denominator, or
 overflow) is degenerate for that method.  It is regenerated from a
 per-replicate sub-stream and counted in ``rejected``; results are
-therefore independent of how replicates are scheduled.  Degeneracy is
-judged per method, and so is failure: a method whose degenerate draws
-exceed 1%, or whose replicate stays degenerate, fails alone.  Draws can
-be negative: the pivotal distributions have heavy tails when any group's
-mean/sd ratio is small, and no truncation is applied.
+therefore independent of how replicates are scheduled.  The reducers skip
+degenerate values, and each regenerated value is fed in after the merge.
+Degeneracy is judged per method, and so is failure: a method whose
+degenerate draws exceed 1%, or whose replicate stays degenerate, fails
+alone.  Draws can be negative: the pivotal distributions have heavy
+tails when any group's mean/sd ratio is small, and no truncation is
+applied.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -79,16 +92,17 @@ from .model import (
     TestResult,
     group_arrays,
 )
-from .randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream
+from .randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream, checked_seed
 
 _MIN_DRAWS = 100
-_MAX_DRAWS = 10**7  # one float array of m values per method: about 80 MB each
+_MAX_DRAWS = 10**7  # generate_draws holds one float array of m values: about 80 MB at the cap
 _BLOCK = 1 << 15
 _SLICE = 1 << 13  # replicates per kernel pass: bounds the working set a thread holds
 # threads that fill the blocks of one engine call: every CPU this process may use
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _MAX_RESAMPLE_ATTEMPTS = 1000
 _MAX_REJECTED_FRACTION = 0.01
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -220,18 +234,18 @@ def combined_draw(tian_value: float, new_value: float) -> float:
     return 0.5 * (tian_value + new_value)
 
 
-def _resample(groups, method, base, rows, values):
-    """Regenerate each listed degenerate replicate of ``values`` from the
-    sub-stream keyed by its index until it is finite.  Returns (draws
-    made, error or None)."""
-    m, count = values.size, 0
+def _resample(groups, method, base, rows, m, reducer):
+    """Regenerate each listed degenerate replicate from the sub-stream
+    keyed by its index until it is finite, and feed it to ``reducer``.
+    Returns (draws made, error or None)."""
+    count = 0
     for r in rows:
         stream = base.substream(ROLE_RESAMPLE, int(r))
         for _ in range(_MAX_RESAMPLE_ATTEMPTS):
             count += 1
             vals, bad = _pivot_values(groups, *_variates(stream, groups.dfs, 1), (method,))[method]
             if not bad[0]:
-                values[r] = vals[0]
+                reducer.feed(int(r), vals, _NO_ROWS)
                 break
         else:
             return count, DegenerateRateError(
@@ -244,12 +258,154 @@ def _resample(groups, method, base, rows, values):
     return count, None
 
 
-def _pivot_value_arrays(study, methods, m, seed):
-    """Shared engine: m draws per requested method from one base layout.
+def _ends(vals, lo, hi):
+    """The values at 0-based ranks lo and hi of ``vals``, selected in place:
+    one single-kth partition per end, as a multi-kth
+    np.partition(vals, [lo, hi]) is several times slower than two of them
+    at m = 10^6."""
+    vals.partition(lo)
+    lower = float(vals[lo])
+    vals.partition(hi)
+    return lower, float(vals[hi])
 
-    Returns ({method: values}, {method: rejected_count}), both empty when
-    no method is requested.  A method whose draws failed maps to its
-    NumericalError instead of an array, and the other methods are
+
+# The engine hands each kernel pass to one reducer per method and worker:
+# ``feed(first, vals, bad)`` gets the pass's values, its first replicate's
+# index and the indices in ``vals`` of its degenerate values, which the
+# reducer skips (they are regenerated and fed in one by one later);
+# ``worker()`` gives the reducer one more worker thread feeds,
+# ``merge(part)`` takes that one back after the join, and ``result()`` is
+# what the engine returns for the method.
+
+
+class _Values:
+    """Every draw in replicate order: serves :func:`generate_draws`.
+
+    The workers share one m-array and fill disjoint slices of it; a call
+    of one kernel pass keeps the kernel's own array instead.
+    """
+
+    def __init__(self, m):
+        self.values = np.empty(m) if m > _SLICE else None
+
+    def worker(self):
+        return self
+
+    def feed(self, first, vals, bad):
+        if self.values is None:
+            self.values = vals
+        else:
+            self.values[first:first + vals.size] = vals
+
+    def merge(self, part):
+        pass
+
+    def result(self):
+        return self.values
+
+
+class _Tails:
+    """The ends of an equal-tailed interval: the order statistics at the
+    0-based ranks lo and hi of all m draws.  Serves :func:`intervals`.
+
+    A reducer keeps the lo + 1 smallest and the m - hi largest values fed
+    to it, among a few more, in one buffer of :meth:`room` values.  Values
+    enter until the buffer is full; then it is partitioned in place, both
+    tails kept, and their inner ends become cuts: from then on only a
+    value below the low cut or above the high cut enters.  A value between
+    the cuts has lo + 1 values at or below it and m - hi at or above it
+    already, so it is neither end.  A feed brings at most one pass.
+    """
+
+    @staticmethod
+    def room(m, lo, hi):
+        """The values a buffer holds: twice both tails, and one pass."""
+        return 2 * (lo + 1 + m - hi) + _SLICE
+
+    def __init__(self, m, lo, hi):
+        self.m, self.lo, self.hi = m, lo, hi
+        self.high = m - hi  # the values at ranks hi and above
+        self.buf, self.size, self.cuts = np.empty(self.room(m, lo, hi)), 0, None
+
+    def worker(self):
+        return _Tails(self.m, self.lo, self.hi)
+
+    def feed(self, first, vals, bad):
+        if bad.size:
+            vals = np.delete(vals, bad)
+        if self.cuts is not None:
+            below = vals < self.cuts[0]
+            vals = vals[np.logical_or(below, vals > self.cuts[1], out=below)]
+        if self.size + vals.size > self.buf.size:
+            self._compact()
+        self.buf[self.size:self.size + vals.size] = vals
+        self.size += vals.size
+
+    def _compact(self):
+        # called on a full buffer, which holds more than twice both tails;
+        # keeping just them leaves room for the pass being fed
+        vals, lo, hi = self.buf[:self.size], self.lo, self.size - self.high
+        vals.partition(lo)
+        vals[lo + 1:].partition(hi - lo - 1)
+        self.cuts = vals[lo], vals[hi]
+        vals[lo + 1:lo + 1 + self.high] = vals[hi:]
+        self.size = lo + 1 + self.high
+
+    def merge(self, part):
+        vals = part.buf[:part.size]
+        for first in range(0, vals.size, _SLICE):
+            self.feed(first, vals[first:first + _SLICE], _NO_ROWS)
+
+    def result(self):
+        return _ends(self.buf[:self.size], self.lo, self.size - self.high)
+
+
+class _Counts:
+    """How many draws lie at or below phi0 and at or above it: serves
+    :func:`gpq_tests`."""
+
+    def __init__(self, phi0):
+        self.phi0, self.at_most, self.at_least = phi0, 0, 0
+
+    def worker(self):
+        return _Counts(self.phi0)
+
+    def feed(self, first, vals, bad):
+        if bad.size:
+            vals = np.delete(vals, bad)
+        self.at_most += int(np.count_nonzero(vals <= self.phi0))
+        self.at_least += int(np.count_nonzero(vals >= self.phi0))
+
+    def merge(self, part):
+        self.at_most += part.at_most
+        self.at_least += part.at_least
+
+    def result(self):
+        return self.at_most, self.at_least
+
+
+def _draw_args(m, seed):
+    """(m, seed) as plain ints, or ValidationError."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValidationError(f"the number of draws must be an integer, got {m!r}") from None
+    if m < _MIN_DRAWS:
+        raise ValidationError(f"need at least {_MIN_DRAWS} draws, got {m}")
+    if m > _MAX_DRAWS:
+        raise ValidationError(f"at most {_MAX_DRAWS} draws are supported, got {m}")
+    return m, checked_seed(seed)
+
+
+def _pivot_value_arrays(study, methods, m, seed, reduce=None):
+    """Shared engine: m draws per requested method from one base layout,
+    each method's reduced as it is drawn.
+
+    ``reduce`` makes one reducer per method (the default keeps every draw:
+    :class:`_Values`).  Returns ({method: its reducer's result},
+    {method: rejected_count}), both empty when no method is requested; a
+    method named twice is drawn and reduced once.  A method whose draws
+    failed maps to its NumericalError instead, and the other methods are
     unaffected.  Per-method degenerate replicates are regenerated
     independently, each from the sub-stream keyed by its replicate index,
     so a method's output is identical whether it is computed alone or
@@ -258,17 +414,15 @@ def _pivot_value_arrays(study, methods, m, seed):
 
     Blocks are filled on W = min(_WORKERS, blocks) threads, the calling
     thread included: worker w takes blocks w, w + W, w + 2W, ...  Each
-    kernel pass writes its own slice of the value arrays and lists its
-    degenerate rows in its own slot, so the result is bit-identical for
-    any worker count; the rows are then regenerated serially in ascending
-    order.  One block stays on the calling thread, and a call of one pass
-    (m <= 2^13) returns the kernel's arrays without a copy.  An exception
-    in any worker is raised here once every worker has joined.
+    worker feeds its own reducers (or its own slices of the shared
+    array), and each kernel pass lists its degenerate rows in its own
+    slot, so the result is bit-identical for any worker count; after the
+    join the other workers' reducers are merged into the calling
+    thread's and the rows are regenerated serially in ascending order.
+    One block stays on the calling thread.  An exception in any worker
+    is raised here once every worker has joined.
     """
-    if m < _MIN_DRAWS:
-        raise ValidationError(f"need at least {_MIN_DRAWS} draws, got {m}")
-    if m > _MAX_DRAWS:
-        raise ValidationError(f"at most {_MAX_DRAWS} draws are supported, got {m}")
+    m, seed = _draw_args(m, seed)
     for method in methods:
         if method not in PIVOTAL_METHODS:
             raise ValidationError(f"not a pivotal method: {method}")
@@ -278,14 +432,18 @@ def _pivot_value_arrays(study, methods, m, seed):
     base = SeededStream(seed)
     blocks = -(-m // _BLOCK)
     workers = min(_WORKERS, blocks)
-    # a call of one kernel pass keeps the kernel's arrays; more passes fill
-    # disjoint slices of these, and each pass lists its degenerate rows in
-    # its own slot (a block is a whole number of passes)
-    values = {method: np.empty(m) for method in methods} if m > _SLICE else {}
+    reducers = {method: reduce() if reduce else _Values(m) for method in methods}
+    # the calling thread feeds the reducers themselves, and each other
+    # worker its own, merged into them after the join
+    parts = [reducers] + [
+        {method: reducer.worker() for method, reducer in reducers.items()} for _ in range(1, workers)
+    ]
+    # each pass lists its degenerate rows in its own slot (a block is a
+    # whole number of passes)
     bad_rows = {method: [None] * -(-m // _SLICE) for method in methods}
     errors = [None] * workers
 
-    def fill_block(i):
+    def fill_block(i, part):
         # a function, so that a block's arrays are freed before the next
         # block is drawn: a thread holds one block's working set at a time
         start = i * _BLOCK
@@ -293,18 +451,16 @@ def _pivot_value_arrays(study, methods, m, seed):
         for first, u, zg in _variate_slices(stream, groups.dfs, min(_BLOCK, m - start)):
             pivots = _pivot_values(groups, u, zg, methods)
             first += start
-            for method in methods:
+            for method, reducer in part.items():
                 vals, bad = pivots[method]
-                if m > _SLICE:
-                    values[method][first:first + vals.size] = vals
-                else:
-                    values[method] = vals
-                bad_rows[method][first // _SLICE] = np.flatnonzero(bad) + first
+                bad = np.flatnonzero(bad)
+                reducer.feed(first, vals, bad)
+                bad_rows[method][first // _SLICE] = bad + first
 
     def fill(worker):
         try:
             for i in range(worker, blocks, workers):
-                fill_block(i)
+                fill_block(i, parts[worker])
         except BaseException as exc:  # raised by the caller once every worker has joined
             errors[worker] = exc
 
@@ -322,13 +478,14 @@ def _pivot_value_arrays(study, methods, m, seed):
         if error is not None:
             raise error
 
-    rejected = {}
-    for method in methods:
+    results, rejected = {}, {}
+    for method, reducer in reducers.items():
+        for part in parts[1:]:
+            reducer.merge(part[method])
         rows = np.concatenate(bad_rows[method])  # ascending: the slots are in row order
-        rejected[method], error = _resample(groups, method, base, rows, values[method])
-        if error is not None:
-            values[method] = error
-    return values, rejected
+        rejected[method], error = _resample(groups, method, base, rows, m, reducer)
+        results[method] = reducer.result() if error is None else error
+    return results, rejected
 
 
 def _only(results: dict, method: Method):
@@ -342,8 +499,11 @@ def generate_draws(study: Study | Sequence[SampleSummary], method: Method, m: in
     """Generate m pivotal draws for one method.
 
     Deterministic in (study, method, m, seed); methods sharing a seed
-    share the underlying chi-square/normal variates.
+    share the underlying chi-square/normal variates.  ``m`` must be an
+    integer in [100, 10^7] and ``seed`` one in [0, 2^64), or
+    ValidationError is raised.
     """
+    m, seed = _draw_args(m, seed)
     values, rejected = _pivot_value_arrays(study, (method,), m, seed)
     return PivotalDraws(method=method, values=_only(values, method), seed=seed, rejected=rejected[method])
 
@@ -363,12 +523,18 @@ def quantile(draws: PivotalDraws | np.ndarray, p: float) -> float:
     """Lower empirical quantile: the ceil(p*m)-th order statistic (1-based).
 
     No interpolation; see :func:`_order_index` for the rank rule.  The
-    caller's array is left as it was, so selecting costs one copy of it;
-    :func:`intervals` selects in place on draws it owns instead.
+    draws must be a non-empty 1-D array of finite values, or
+    ValidationError is raised.  The caller's array is left as it was, so
+    selecting costs one copy of it; :func:`intervals` keeps only the tails
+    of its draws instead.
     """
     if not 0.0 < p < 1.0:
         raise ValidationError(f"quantile level must be in (0, 1), got {p}")
     vals = draws.values if isinstance(draws, PivotalDraws) else np.asarray(draws, float)
+    if vals.ndim != 1 or vals.size == 0:
+        raise ValidationError(f"need a non-empty 1-D array of draws, got shape {vals.shape}")
+    if not np.isfinite(vals).all():
+        raise ValidationError("draws must be finite")
     i = _order_index(p, vals.size)
     return float(np.partition(vals, i)[i])
 
@@ -380,19 +546,24 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
     equal-tailed interval it gets alone; ``vj`` is closed-form and ignores
     m and seed.  Invalid arguments raise ValidationError.
 
-    Each end is the order statistic :func:`quantile` would give, selected
-    in place on the engine's own array (the lower end first, then the
-    upper), so a call holds one array of m values per pivotal method and
-    no copy of it.
+    Each end is the order statistic :func:`quantile` would give on all m
+    draws.  Where a buffer of both tails beyond the ends (see
+    :class:`_Tails`), about 2(1 - level) m + 2^13 values, is at most half
+    the draws, the engine keeps only that buffer per method and worker
+    thread: at m = 10^6 from a level of about 0.75 up.  Otherwise, as for
+    a call of one kernel pass, the ends are selected in place on all m
+    draws, one array per method.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
     pivotal = tuple(method for method in methods if method is not Method.VERRILL_JOHNSON)
-    values = _pivot_value_arrays(study, pivotal, m, seed)[0] if pivotal else {}
-    alpha = 1.0 - level
-    # one single-kth partition per end: a multi-kth np.partition(vals, [lo, hi])
-    # is several times slower than two of them at m = 10^6
-    lo, hi = _order_index(alpha / 2.0, m), _order_index(1.0 - alpha / 2.0, m)
+    found, reduce = {}, None
+    if pivotal:
+        m, seed = _draw_args(m, seed)
+        alpha = 1.0 - level
+        lo, hi = _order_index(alpha / 2.0, m), _order_index(1.0 - alpha / 2.0, m)
+        reduce = (lambda: _Tails(m, lo, hi)) if 2 * _Tails.room(m, lo, hi) <= m else None
+        found = _pivot_value_arrays(study, pivotal, m, seed, reduce)[0]
     results = {}
     for method in methods:
         if method is Method.VERRILL_JOHNSON:
@@ -400,14 +571,11 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
                 results[method] = vj_interval(study, level)
             except NumericalError as exc:
                 results[method] = exc
-        elif isinstance(values[method], NumericalError):
-            results[method] = values[method]
+        elif isinstance(found[method], NumericalError):
+            results[method] = found[method]
         else:
-            vals = values[method]
-            vals.partition(lo)
-            lower = float(vals[lo])
-            vals.partition(hi)
-            results[method] = IntervalResult(method, level, lower, float(vals[hi]), draws=m, seed=seed)
+            ends = found[method] if reduce else _ends(found[method], lo, hi)
+            results[method] = IntervalResult(method, level, *ends, draws=m, seed=seed)
     return results
 
 
@@ -419,16 +587,17 @@ def gpq_tests(
 
     The proportion of draws at or below phi0 estimates the evidence for
     phi > phi0 and vice versa; the two-sided p-value doubles the smaller
-    tail and is capped at 1.
+    tail and is capped at 1.  The engine keeps only the two counts per
+    method and worker thread, no draws.
     """
     if not math.isfinite(phi0):
         raise ValidationError(f"null value must be finite, got {phi0}")
-    results = _pivot_value_arrays(study, methods, m, seed)[0]
-    for method, vals in results.items():
-        if isinstance(vals, NumericalError):
+    m, seed = _draw_args(m, seed)
+    results = _pivot_value_arrays(study, methods, m, seed, lambda: _Counts(phi0))[0]
+    for method, counts in results.items():
+        if isinstance(counts, NumericalError):
             continue
-        p_le = float(np.count_nonzero(vals <= phi0)) / m
-        p_ge = float(np.count_nonzero(vals >= phi0)) / m
+        p_le, p_ge = (float(count) / m for count in counts)
         if alternative is Alternative.GREATER:
             p = p_le
         elif alternative is Alternative.LESS:

@@ -16,9 +16,11 @@ scale 2), which is O(1) per draw for every df >= 1.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .errors import InvalidDfError
+from .errors import InvalidDfError, ValidationError
 
 _MASK64 = (1 << 64) - 1
 
@@ -28,6 +30,23 @@ ROLE_PIVOT_BLOCK = 1
 ROLE_RESAMPLE = 2
 ROLE_SIM_DATA = 3
 ROLE_SIM_PIVOTS = 4
+
+
+def checked_seed(seed) -> int:
+    """``seed`` as a plain int if it is an integer in [0, 2^64).
+
+    Anything else raises ValidationError: a float, a bool, or an int the
+    64-bit stream id would fold onto another seed's stream.
+    """
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or isinstance(seed, bool):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= value <= _MASK64:
+        raise ValidationError(f"seed must be in [0, 2^64), got {value}")
+    return value
 
 
 def _splitmix64(x: int) -> int:

@@ -24,7 +24,7 @@ from .errors import NumericalError, ValidationError
 from .model import Method, Study, summarize
 # Only intervals is called here; perfbench/tracer.py wraps the other bindings.
 from .pivotal import _pivot_value_arrays, generate_draws, intervals, quantile, vj_interval  # noqa: F401
-from .randgen import ROLE_SIM_DATA, ROLE_SIM_PIVOTS, SeededStream, mix_components
+from .randgen import ROLE_SIM_DATA, ROLE_SIM_PIVOTS, SeededStream, checked_seed, mix_components
 
 ALL_METHODS = (Method.TIAN, Method.VERRILL_JOHNSON, Method.NEW, Method.COMBINED)
 
@@ -46,6 +46,7 @@ class SimConfig:
         object.__setattr__(self, "mus", tuple(float(v) for v in self.mus))
         object.__setattr__(self, "ns", tuple(int(v) for v in self.ns))
         object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "master_seed", checked_seed(self.master_seed))
         if len(self.mus) < 2 or len(self.mus) != len(self.ns):
             raise ValidationError(
                 f"need matching mus/ns with at least 2 groups, got {len(self.mus)} and {len(self.ns)}"

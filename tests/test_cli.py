@@ -270,6 +270,32 @@ class TestCi:
         assert code == 1
         assert "COMMON_CV_SEED" in err
 
+    @pytest.mark.parametrize("flag, env", [
+        ("18446744073709551616", None), ("-1", None), (None, "18446744073709551616"), (None, "-3"),
+    ])
+    @pytest.mark.parametrize("command", ["ci", "test", "simulate", "examples"])
+    def test_seed_out_of_range(self, capsys, monkeypatch, tmp_path, command, flag, env):
+        # 2^64 used to run on seed 0's stream while reporting 2^64
+        args = {
+            "ci": ("ci", "--input", SURVEYS_PATH, "--summary", "--draws", "300"),
+            "test": ("test", "--input", SURVEYS_PATH, "--summary", "--draws", "300", "--null", "0.04"),
+            "simulate": ("simulate", "--config", write_grid(tmp_path), "--reps", "2", "--draws", "200"),
+            "examples": ("examples", "--draws", "300"),
+        }[command]
+        if env is not None:
+            monkeypatch.setenv("COMMON_CV_SEED", env)
+        code, out, err = run(capsys, *args, *(("--seed", flag) if flag else ()))
+        assert (code, out) == (1, "")
+        assert ("seed" if flag else "COMMON_CV_SEED") in err
+
+    def test_largest_seed(self, capsys):
+        code, out, _ = run(
+            capsys, "ci", "--input", SURVEYS_PATH, "--summary",
+            "--draws", "300", "--method", "new", "--seed", str(2**64 - 1), "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == 2**64 - 1
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "ci", "--input", str(tmp_path / "nope.csv"))
         assert code == 3

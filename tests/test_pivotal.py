@@ -44,6 +44,21 @@ HOSPITAL_ORACLE = {
 }
 
 
+PIVOTAL = (Method.TIAN, Method.NEW, Method.COMBINED)
+
+
+def _traced_peak(call):
+    """Peak bytes tracemalloc sees during call(), after one warm-up call;
+    numpy reports its buffers to tracemalloc."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestVariancePivot:
     def test_median_against_chi_square_median(self):
         s = SampleSummary(n=5, mean=10.0, sd=2.0)
@@ -455,6 +470,56 @@ class TestBlocksOnThreads:
         assert threading.active_count() == before
 
 
+class TestReducedAsDrawn:
+    """intervals keep only each method's tails, and gpq_tests two counts,
+    of each kernel pass; the ends and p-values are those of the full draws
+    generate_draws returns, for any worker count, with degenerate rows
+    regenerated, and with a method asked for twice."""
+
+    LEVELS = (0.01, 0.5, 0.9, 0.95)
+    ASKED = (Method.TIAN, Method.NEW, Method.TIAN, Method.COMBINED)
+    PHI0 = 0.8
+
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["clean", "degenerate"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("m", [100, 8192, 8193, _BLOCK + 17, 3 * _BLOCK + 17])
+    def test_match_the_full_draws(self, hospital, monkeypatch, m, workers, degenerate):
+        seed = 23
+        if degenerate:  # the first few rows of every multi-row pass
+            monkeypatch.setattr(pivotal, "_pivot_values", TestDegenerateHandling._flag_first_rows(0.0005))
+        draws = {method: generate_draws(hospital, method, m, seed) for method in PIVOTAL}
+        assert all((d.rejected > 0) == degenerate for d in draws.values())
+        monkeypatch.setattr(pivotal, "_WORKERS", workers)
+        for level in self.LEVELS:
+            alpha = 1.0 - level
+            ivs = intervals(hospital, self.ASKED, level, m, seed)
+            for method, d in draws.items():
+                expected = quantile(d.values, alpha / 2.0), quantile(d.values, 1.0 - alpha / 2.0)
+                assert (ivs[method].lower, ivs[method].upper) == expected
+        tests = {alt: gpq_tests(hospital, self.ASKED, self.PHI0, alt, m, seed) for alt in Alternative}
+        for method, d in draws.items():
+            p_le = np.count_nonzero(d.values <= self.PHI0) / m
+            p_ge = np.count_nonzero(d.values >= self.PHI0) / m
+            assert tests[Alternative.GREATER][method].p_value == p_le
+            assert tests[Alternative.LESS][method].p_value == p_ge
+            assert tests[Alternative.TWO_SIDED][method].p_value == min(1.0, 2.0 * min(p_le, p_ge))
+
+    def test_a_value_just_inside_a_cut_enters(self):
+        # the first values fed hold both tails whole, so the cuts are the
+        # exact ends; a later value just inside either cut is the new end
+        m, lo, hi = 100_000, 4_999, 95_000
+        values = np.full(m, 5e5)
+        values[:lo + 1] = 2.0 * np.arange(lo + 1)
+        values[lo + 1:m - hi + lo + 1] = 1e6 - 2.0 * np.arange(m - hi)
+        values[-2:] = 2 * lo - 1, 1e6 - 2 * (m - hi - 1) + 1
+        tails = pivotal._Tails(m, lo, hi)
+        for first in range(0, m, pivotal._SLICE):
+            tails.feed(first, values[first:first + pivotal._SLICE], pivotal._NO_ROWS)
+        assert tails.cuts is not None
+        ordered = np.sort(values)
+        assert tails.result() == (ordered[lo], ordered[hi]) == (values[-2], values[-1])
+
+
 class TestQuantile:
     def test_order_statistic_convention(self):
         values = np.arange(1.0, 101.0)
@@ -490,6 +555,17 @@ class TestQuantile:
     def test_monotone_in_p(self, p):
         values = np.arange(1.0, 201.0)
         assert quantile(values, p * 0.5) <= quantile(values, p)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param([], id="empty"),
+        pytest.param(3.0, id="scalar"),
+        pytest.param([[1.0, 2.0], [3.0, 4.0]], id="2-D"),
+        pytest.param([1.0, np.nan, 2.0], id="nan"),
+        pytest.param([1.0, -np.inf], id="inf"),
+    ])
+    def test_rejects_bad_draws(self, values):
+        with pytest.raises(ValidationError):
+            quantile(np.asarray(values), 0.5)
 
     def test_extreme_ranks_clamped(self):
         values = np.arange(1.0, 11.0)
@@ -636,18 +712,30 @@ class TestFrontDoor:
             )
 
     def test_ends_selected_without_a_copy(self, hospital, monkeypatch):
-        # one method at m = 10^6 holds its 8 MB engine array and one block's
-        # working set; numpy reports its buffers to tracemalloc
+        # one method at m = 10^6 holds at most one block's working set and
+        # far less than a copy of its 8 MB of draws
         monkeypatch.setattr(pivotal, "_WORKERS", 1)
         m = 10**6
-        intervals(hospital, (Method.TIAN,), 0.95, m, seed=0)  # warm-up
-        tracemalloc.start()
-        try:
-            intervals(hospital, (Method.TIAN,), 0.95, m, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * m
+        assert _traced_peak(lambda: intervals(hospital, (Method.TIAN,), 0.95, m, seed=0)) < 1.5 * 8 * m
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda study: intervals(study, (Method.TIAN,), 0.95, 10**6, seed=0), id="intervals-tian"),
+        pytest.param(
+            lambda study: gpq_tests(study, PIVOTAL, 0.8, Alternative.TWO_SIDED, 10**6, seed=0), id="tests-all"
+        ),
+    ])
+    def test_no_draw_array_held(self, hospital, monkeypatch, call):
+        # one method's 10^6 draws alone would take 7.6 MiB: an interval keeps
+        # its tails (about 0.1 m values while drawing), a test two counts
+        monkeypatch.setattr(pivotal, "_WORKERS", 1)
+        assert _traced_peak(lambda: call(hospital)) < 4 * 2**20
+
+    def test_low_levels_select_on_all_draws(self, hospital, monkeypatch):
+        # at level 0.5 the tails are all the draws: one 8 MB array per
+        # method, not a buffer of m values per method and worker thread
+        monkeypatch.setattr(pivotal, "_WORKERS", 2)
+        m = 10**6
+        assert _traced_peak(lambda: intervals(hospital, PIVOTAL, 0.5, m, seed=0)) < 4 * 8 * m
 
     @pytest.mark.parametrize("method", PIVOTAL)
     def test_test_alone_matches_joint(self, hospital, method):
@@ -667,6 +755,34 @@ class TestFrontDoor:
         assert gpq_tests(surveys, [], 0.04, Alternative.TWO_SIDED, 100000, seed=0) == {}
         with pytest.raises(ValidationError):
             gpq_tests(surveys, [], 0.04, Alternative.TWO_SIDED, 99, seed=0)
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 1.5, True, "3", None])
+    def test_seed_must_be_an_integer_in_range(self, surveys, seed):
+        # 2**64 used to fold onto seed 0's stream, and 1.5 onto seed 1's
+        with pytest.raises(ValidationError, match="seed"):
+            intervals(surveys, self.ALL, 0.95, 1000, seed)
+        with pytest.raises(ValidationError, match="seed"):
+            gpq_tests(surveys, self.PIVOTAL, 0.04, Alternative.LESS, 1000, seed)
+        with pytest.raises(ValidationError, match="seed"):
+            generate_draws(surveys, Method.NEW, 1000, seed)
+
+    @pytest.mark.parametrize("m", [1000.5, 1000.0, "1000", None])
+    def test_draws_must_be_an_integer(self, surveys, m):
+        with pytest.raises(ValidationError, match="draws"):
+            intervals(surveys, self.ALL, 0.95, m, seed=0)
+        with pytest.raises(ValidationError, match="draws"):
+            gpq_tests(surveys, self.PIVOTAL, 0.04, Alternative.LESS, m, seed=0)
+        with pytest.raises(ValidationError, match="draws"):
+            generate_draws(surveys, Method.NEW, m, seed=0)
+
+    def test_integer_arguments_stored_as_int(self, hospital):
+        iv = intervals(hospital, (Method.TIAN,), 0.95, np.int64(1000), np.uint64(2**64 - 1))[Method.TIAN]
+        assert (type(iv.draws), type(iv.seed)) == (int, int)
+        assert iv == intervals(hospital, (Method.TIAN,), 0.95, 1000, 2**64 - 1)[Method.TIAN]
+        res = gpq_tests(hospital, (Method.NEW,), 0.8, Alternative.LESS, np.int32(1000), np.int64(3))[Method.NEW]
+        assert (type(res.draws), type(res.seed)) == (int, int)
+        draws = generate_draws(hospital, Method.NEW, np.int64(1000), np.int64(3))
+        assert type(draws.seed) is int and draws.m == 1000
 
     def test_vj_alone_ignores_draws_and_seed(self, surveys):
         from common_cv.estimators import vj_interval

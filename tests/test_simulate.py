@@ -40,11 +40,18 @@ class TestSimConfig:
             dict(methods=()),
             dict(methods=("tian",)),  # enums required, not strings
             dict(mus=(-1.0, 1.0, 2.0)),  # sigma_i = phi*mu_i > 0 needs one sign
+            dict(master_seed=2**64),  # would run on seed 0's streams
+            dict(master_seed=-1),
+            dict(master_seed=1.5),
         ],
     )
     def test_rejects_invalid(self, overrides):
         with pytest.raises(ValidationError):
             config(**overrides)
+
+    def test_seed_stored_as_int(self):
+        cfg = config(master_seed=np.uint64(2**64 - 1))
+        assert type(cfg.master_seed) is int and cfg == config(master_seed=2**64 - 1)
 
     def test_negative_mus_allowed(self):
         assert config(mus=(-1.0, -1.0, -2.0)).mus == (-1.0, -1.0, -2.0)
