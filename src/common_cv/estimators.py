@@ -108,20 +108,26 @@ def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
 
     Regula falsi with the Illinois step: an endpoint kept twice in a row has
     its f value halved in the secant, so both ends of the bracket move.  A
-    secant point that rounds onto the bracket's ends is replaced by the
-    midpoint.  Stops when f is exactly zero at an end, or when the bracket
-    holds no float between its ends, and returns the end with the smaller
-    |f|.
+    secant point that rounds onto an end of the bracket, as it does once
+    the secant lands within an ulp of the root, is replaced by a point that
+    far inside that end: one ulp, doubled on each repeat in a row, and never
+    past the midpoint.  Stops when f is exactly zero at an end, or when the
+    bracket holds no float between its ends, and returns the end with the
+    smaller |f|.
     """
     wa, wb = fa, fb  # secant weights: f at the ends, halved by the Illinois step
     moved = 0  # +1 if a moved last, -1 if b did
+    ulps = 1  # the step inside an end, in ulps of that end
     while True:
         mid = 0.5 * (a + b)
         if fa == 0.0 or fb == 0.0 or mid == a or mid == b:
             return a if fa <= -fb else b
         c = a + (b - a) * (wa / (wa - wb))
-        if not a < c < b:
-            c = mid
+        if a < c < b:
+            ulps = 1
+        else:
+            c = min(a + ulps * math.ulp(a), mid) if c <= a else max(b - ulps * math.ulp(b), mid)
+            ulps *= 2
         fc = f(c)
         if fc >= 0.0:
             if moved == 1:

@@ -1,72 +1,48 @@
 """Monte Carlo pivotal draws for the common coefficient of variation.
 
 Each replicate substitutes fresh chi-square and normal variates into the
-observed summary statistics, yielding one draw from a pivotal quantity
-whose percentiles bound phi.  Per replicate the base randomness layout is
-fixed: k chi-squares U_i with n_i - 1 degrees of freedom, then k normals
-Z_i, then one spare normal.  Every method reads from that same layout
-(spare and unused variates are still drawn), so under one seed the Tian,
-new, and combined pivotal values are different functions of identical
-randomness.
-
-Draw formulas, with r_i = mean_i/sd_i, n = sum n_i, and
+observed summary statistics, giving one draw from a pivotal quantity
+whose percentiles bound phi.  With r_i = mean_i/sd_i, n = sum n_i and
 D_i = r_i*sqrt(U_i/(n_i-1)) - Z_i/sqrt(n_i):
 
     tian:      weighted mean of the 1/D_i:  sum_i w_i/D_i / sum_i w_i,  w_i = n_i - 1
     new:       weighted harmonic counterpart:  n / sum_i n_i*D_i
     combined:  the plain average of the two
 
-All three come from the same D.  The engine builds it one column at a
-time, D_j for all replicates of a block, and forms only the sums the
-requested methods need: the Tian sum for tian and combined, the new sum
-for new and combined.  The sums add their k terms in the order of a
-row-wise numpy sum, so a value is the same bit for bit whichever methods
-are computed with it.
+The new pivot is often written with one standard normal Z against the
+pooled rate, n / (sum_i n_i*sqrt(U_i/(n_i-1))*r_i - sqrt(n)*Z).  Here
+sqrt(n)*Z = sum_i sqrt(n_i)*Z_i: the new pivot's own distribution is the
+same, and the joint distribution of the two pivots, on which the
+combined average depends, is fixed.
 
-The new pivot is often written with a single standard normal Z against the
-pooled rate, n / (sum_i n_i*sqrt(U_i/(n_i-1))*r_i - sqrt(n)*Z).  That Z
-stands for the standardized deviation of the pooled inverse-CV estimate,
-which the per-group deviations determine: sqrt(n)*Z = sum_i sqrt(n_i)*Z_i.
-Realizing Z this way leaves the new pivot's own distribution unchanged (an
-independent draw would too) but fixes the joint distribution of the two
-pivots, which is what the combined average depends on.
+The variate layout is a compatibility contract.  Per replicate it is k
+chi-squares U_i with n_i - 1 degrees of freedom, then k normals Z_i,
+then one spare normal that no pivot uses.  Every method reads the same
+layout, so under one seed the three pivots are functions of the same
+randomness.  Replicates come in blocks of 2^15, each drawn from the
+sub-stream keyed by its block index (:func:`_variate_slices`).  The
+blocks of one call are filled on up to one thread per CPU, so each
+value is the same bit for bit for any thread count.
 
-Draws come in blocks of 2^15 replicates, each from the sub-stream keyed by
-its block index.  The blocks of one call are filled on every CPU the
-process may use, one thread per CPU up to the number of blocks, the
-calling thread among them; each block reads only its own sub-stream, so
-the values are the same bit for bit for any thread count.  A call of one
-block (m <= 2^15, as in every coverage replication) starts no thread.
-The kernel runs over a block in passes of 2^13 replicates, reading the
-stream in the same order, so a thread holds the block's chi-squares and
-one pass's normals and buffers at a time.
+A value that is not finite (a zero denominator, or overflow) is
+degenerate for its method.  That replicate is regenerated from the
+sub-stream keyed by its index and counted in ``rejected``, so results do
+not depend on scheduling.  A method whose degenerate draws exceed 1%, or
+whose replicate stays degenerate, fails alone.  Draws can be negative:
+the pivots have heavy tails when a mean/sd ratio is small, and no
+truncation is applied.
 
 Each kernel pass hands each method's values to a reducer that keeps only
-what the caller reads: every draw in replicate order for
-:func:`generate_draws`, the two tails beyond the interval ends for
-:func:`intervals` (where a buffer of them is at most half the draws), and
-the counts at or below and at or above the null value for
-:func:`gpq_tests`.  Each thread feeds its own reducers, merged
-once every thread has joined.  An order statistic or a count does not
-depend on the order its values arrive in, so every end and p-value is the
-one all m draws in one array give.
-
-A replicate whose value is not finite (an exactly zero denominator, or
-overflow) is degenerate for that method.  It is regenerated from a
-per-replicate sub-stream and counted in ``rejected``; results are
-therefore independent of how replicates are scheduled.  The reducers skip
-degenerate values, and each regenerated value is fed in after the merge.
-Degeneracy is judged per method, and so is failure: a method whose
-degenerate draws exceed 1%, or whose replicate stays degenerate, fails
-alone.  Draws can be negative: the pivotal distributions have heavy
-tails when any group's mean/sd ratio is small, and no truncation is
-applied.
+what the caller reads: every draw (:class:`_Values`), the two tails
+beyond the interval ends (:class:`_Tails`), or the two counts of a test
+(:class:`_Counts`).  An order statistic or a count does not depend on
+the order its values arrive in, so every end and p-value is the one all
+m draws in one array give.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -92,7 +68,7 @@ from .model import (
     TestResult,
     group_arrays,
 )
-from .randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream, checked_seed
+from .randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream, checked_int, checked_seed
 
 _MIN_DRAWS = 100
 _MAX_DRAWS = 10**7  # generate_draws holds one float array of m values: about 80 MB at the cap
@@ -123,21 +99,12 @@ class PivotalDraws:
         return int(self.values.size)
 
 
-def _variates(stream: SeededStream, dfs: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """One block of the base layout: (b, k) chi-squares and normals.  The
-    spare normal of each replicate is drawn but no pivot uses it."""
-    u = stream.chi_square(dfs, size=(b, dfs.size))
-    zg = stream.standard_normal((b, dfs.size))
-    stream.standard_normal(b)
-    return u, zg
-
-
 def _variate_slices(stream: SeededStream, dfs: np.ndarray, b: int):
-    """The same block as :func:`_variates`, for the kernel in passes of
+    """One block of b replicates of the base layout, in kernel passes of
     ``_SLICE`` rows: yields (first row, u rows, zg rows).  The stream is
-    read in the same order (all (b, k) chi-squares, then the normals row
-    by row, then the b spare normals), so every value is the same; only
-    one pass's normals are held at a time."""
+    read as all (b, k) chi-squares, then the (b, k) normals row by row,
+    then the b spare normals, which no pivot uses; only one pass's normals
+    are held at a time."""
     u = stream.chi_square(dfs, size=(b, dfs.size))
     for first in range(0, b, _SLICE):
         zg = stream.standard_normal((min(_SLICE, b - first), dfs.size))
@@ -243,7 +210,9 @@ def _resample(groups, method, base, rows, m, reducer):
         stream = base.substream(ROLE_RESAMPLE, int(r))
         for _ in range(_MAX_RESAMPLE_ATTEMPTS):
             count += 1
-            vals, bad = _pivot_values(groups, *_variates(stream, groups.dfs, 1), (method,))[method]
+            # run to the end, so that the spare normal is drawn before the next attempt
+            for _, u, zg in _variate_slices(stream, groups.dfs, 1):
+                vals, bad = _pivot_values(groups, u, zg, (method,))[method]
             if not bad[0]:
                 reducer.feed(int(r), vals, _NO_ROWS)
                 break
@@ -279,29 +248,25 @@ def _ends(vals, lo, hi):
 
 
 class _Values:
-    """Every draw in replicate order: serves :func:`generate_draws`.
-
-    The workers share one m-array and fill disjoint slices of it; a call
-    of one kernel pass keeps the kernel's own array instead.
+    """Every draw in replicate order, in one m-array the workers fill in
+    disjoint slices: serves :func:`generate_draws`, and given the ranks
+    (lo, hi) gives the interval ends selected in place on it instead.
     """
 
-    def __init__(self, m):
-        self.values = np.empty(m) if m > _SLICE else None
+    def __init__(self, m, *ends):
+        self.values, self.ends = np.empty(m), ends
 
     def worker(self):
         return self
 
     def feed(self, first, vals, bad):
-        if self.values is None:
-            self.values = vals
-        else:
-            self.values[first:first + vals.size] = vals
+        self.values[first:first + vals.size] = vals
 
     def merge(self, part):
         pass
 
     def result(self):
-        return self.values
+        return _ends(self.values, *self.ends) if self.ends else self.values
 
 
 class _Tails:
@@ -386,10 +351,7 @@ class _Counts:
 
 def _draw_args(m, seed):
     """(m, seed) as plain ints, or ValidationError."""
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValidationError(f"the number of draws must be an integer, got {m!r}") from None
+    m = checked_int(m, "the number of draws")
     if m < _MIN_DRAWS:
         raise ValidationError(f"need at least {_MIN_DRAWS} draws, got {m}")
     if m > _MAX_DRAWS:
@@ -420,9 +382,9 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
     join the other workers' reducers are merged into the calling
     thread's and the rows are regenerated serially in ascending order.
     One block stays on the calling thread.  An exception in any worker
-    is raised here once every worker has joined.
+    is raised here once every worker has joined.  The callers have
+    checked (m, seed) with :func:`_draw_args`.
     """
-    m, seed = _draw_args(m, seed)
     for method in methods:
         if method not in PIVOTAL_METHODS:
             raise ValidationError(f"not a pivotal method: {method}")
@@ -557,13 +519,13 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
     if not 0.0 < level < 1.0:
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
     pivotal = tuple(method for method in methods if method is not Method.VERRILL_JOHNSON)
-    found, reduce = {}, None
+    found = {}
     if pivotal:
         m, seed = _draw_args(m, seed)
         alpha = 1.0 - level
         lo, hi = _order_index(alpha / 2.0, m), _order_index(1.0 - alpha / 2.0, m)
-        reduce = (lambda: _Tails(m, lo, hi)) if 2 * _Tails.room(m, lo, hi) <= m else None
-        found = _pivot_value_arrays(study, pivotal, m, seed, reduce)[0]
+        reducer = _Tails if 2 * _Tails.room(m, lo, hi) <= m else _Values
+        found = _pivot_value_arrays(study, pivotal, m, seed, lambda: reducer(m, lo, hi))[0]
     results = {}
     for method in methods:
         if method is Method.VERRILL_JOHNSON:
@@ -574,8 +536,7 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
         elif isinstance(found[method], NumericalError):
             results[method] = found[method]
         else:
-            ends = found[method] if reduce else _ends(found[method], lo, hi)
-            results[method] = IntervalResult(method, level, *ends, draws=m, seed=seed)
+            results[method] = IntervalResult(method, level, *found[method], draws=m, seed=seed)
     return results
 
 

@@ -32,18 +32,24 @@ ROLE_SIM_DATA = 3
 ROLE_SIM_PIVOTS = 4
 
 
+def checked_int(value, what: str) -> int:
+    """``value`` as a plain int, or ValidationError naming ``what`` if it
+    is not an integer (a float or a bool is not one)."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def checked_seed(seed) -> int:
     """``seed`` as a plain int if it is an integer in [0, 2^64).
 
     Anything else raises ValidationError: a float, a bool, or an int the
     64-bit stream id would fold onto another seed's stream.
     """
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = None
-    if value is None or isinstance(seed, bool):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    value = checked_int(seed, "seed")
     if not 0 <= value <= _MASK64:
         raise ValidationError(f"seed must be in [0, 2^64), got {value}")
     return value

@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NumericalError, ValidationError
-from .model import Method, Study, summarize
+from .errors import ValidationError
+from .model import PIVOTAL_METHODS, IntervalResult, Method, Study, summarize
 # Only intervals is called here; perfbench/tracer.py wraps the other bindings.
 from .pivotal import _pivot_value_arrays, generate_draws, intervals, quantile, vj_interval  # noqa: F401
-from .randgen import ROLE_SIM_DATA, ROLE_SIM_PIVOTS, SeededStream, checked_seed, mix_components
+from .pivotal import _draw_args
+from .randgen import ROLE_SIM_DATA, ROLE_SIM_PIVOTS, SeededStream, checked_int, checked_seed, mix_components
 
 ALL_METHODS = (Method.TIAN, Method.VERRILL_JOHNSON, Method.NEW, Method.COMBINED)
 
@@ -44,17 +45,20 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mus", tuple(float(v) for v in self.mus))
-        object.__setattr__(self, "ns", tuple(int(v) for v in self.ns))
+        object.__setattr__(self, "ns", tuple(checked_int(v, "a group size") for v in self.ns))
+        object.__setattr__(self, "reps", checked_int(self.reps, "reps"))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "master_seed", checked_seed(self.master_seed))
+        if any(method in PIVOTAL_METHODS for method in self.methods):
+            object.__setattr__(self, "m", _draw_args(self.m, self.master_seed)[0])
         if len(self.mus) < 2 or len(self.mus) != len(self.ns):
             raise ValidationError(
                 f"need matching mus/ns with at least 2 groups, got {len(self.mus)} and {len(self.ns)}"
             )
-        if self.phi <= 0.0:
-            raise ValidationError(f"phi must be positive, got {self.phi}")
-        if any(mu == 0.0 for mu in self.mus):
-            raise ValidationError("group means must be nonzero")
+        if not 0.0 < self.phi < math.inf:
+            raise ValidationError(f"phi must be positive and finite, got {self.phi}")
+        if not all(math.isfinite(mu) and mu != 0.0 for mu in self.mus):
+            raise ValidationError(f"group means must be finite and nonzero, got {self.mus}")
         if min(self.mus) < 0.0 < max(self.mus):
             raise ValidationError(f"group means must share one sign, got {self.mus}")
         if any(n < 2 for n in self.ns):
@@ -94,6 +98,31 @@ def _simulate_study(config: SimConfig, data_stream) -> Study:
     return Study(groups=tuple(groups))
 
 
+class _Tally:
+    """One method's running counts over the replications of a cell."""
+
+    def __init__(self):
+        self.covered, self.length_sum, self.failures = 0, 0.0, 0
+
+    def add(self, interval, target: float):
+        """Count one replication's interval, or a failure for anything else
+        (its error, or None when the dataset was degenerate)."""
+        if isinstance(interval, IntervalResult):
+            self.covered += interval.contains(target)
+            self.length_sum += interval.length
+        else:
+            self.failures += 1
+
+    def performance(self, method: Method, reps: int) -> MethodPerformance:
+        effective = reps - self.failures
+        return MethodPerformance(
+            method=method,
+            coverage=self.covered / effective if effective else float("nan"),
+            avg_length=self.length_sum / effective if effective else float("nan"),
+            failures=self.failures,
+        )
+
+
 def run_study(config: SimConfig, cell_index: int = 0) -> SimResult:
     """Estimate coverage and average length for one cell.
 
@@ -103,39 +132,21 @@ def run_study(config: SimConfig, cell_index: int = 0) -> SimResult:
     root = SeededStream(config.master_seed)
     # Data drawn with negative means have CV -phi.
     target = math.copysign(config.phi, config.mus[0])
-
-    covered = {m: 0 for m in config.methods}
-    length_sum = {m: 0.0 for m in config.methods}
-    failures = {m: 0 for m in config.methods}
+    tallies = {m: _Tally() for m in config.methods}
 
     for r in range(config.reps):
         try:
             study = _simulate_study(config, root.substream(ROLE_SIM_DATA, cell_index, r))
         except ValidationError:
             # A degenerate dataset (zero mean/variance) fails every method.
-            for m in config.methods:
-                failures[m] += 1
-            continue
+            found = dict.fromkeys(config.methods)
+        else:
+            pivot_seed = mix_components(config.master_seed, ROLE_SIM_PIVOTS, cell_index, r)
+            found = intervals(study, config.methods, config.level, config.m, pivot_seed)
+        for m, interval in found.items():
+            tallies[m].add(interval, target)
 
-        pivot_seed = mix_components(config.master_seed, ROLE_SIM_PIVOTS, cell_index, r)
-        for m, interval in intervals(study, config.methods, config.level, config.m, pivot_seed).items():
-            if isinstance(interval, NumericalError):
-                failures[m] += 1
-                continue
-            if interval.contains(target):
-                covered[m] += 1
-            length_sum[m] += interval.length
-
-    performance = {}
-    for m in config.methods:
-        effective = config.reps - failures[m]
-        performance[m] = MethodPerformance(
-            method=m,
-            coverage=covered[m] / effective if effective else float("nan"),
-            avg_length=length_sum[m] / effective if effective else float("nan"),
-            failures=failures[m],
-        )
-    return SimResult(config=config, performance=performance)
+    return SimResult(config=config, performance={m: t.performance(m, config.reps) for m, t in tallies.items()})
 
 
 def run_grid(configs) -> list[SimResult]:

@@ -10,13 +10,18 @@ import numpy as np
 M = 2_000_000
 
 
+def variates(rng, dfs, m):
+    """(m, k) chi-squares and normals of the documented layout: all the
+    chi-squares, then the normals, then one spare normal per replicate."""
+    u = rng.chisquare(dfs, size=(m, len(dfs)))
+    zg = rng.standard_normal((m, len(dfs)))
+    rng.standard_normal(m)  # spare slot in the layout, not consumed
+    return u, zg
+
+
 def pivots(rng, ns, means, sds, m):
-    k = len(ns)
     dfs = np.array(ns, dtype=float) - 1.0
-    u = rng.chisquare(dfs, size=(m, k))
-    zg = rng.standard_normal((m, k))
-    z0 = rng.standard_normal(m)  # spare slot in the layout, not consumed
-    return pivot_formulas(ns, means, sds, u, zg)
+    return pivot_formulas(ns, means, sds, *variates(rng, dfs, m))
 
 
 def pivot_formulas(ns, means, sds, u, zg):

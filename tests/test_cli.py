@@ -11,8 +11,9 @@ from importlib import resources
 
 import pytest
 
-from common_cv import pivotal
+from common_cv import pivotal, simulate
 from common_cv.cli import main
+from common_cv.errors import DegenerateRateError
 from common_cv.estimators import feltz_miller_estimate, new_estimate, newton_mle
 from common_cv.model import Method
 from common_cv.pivotal import _MAX_DRAWS, confidence_interval
@@ -487,11 +488,15 @@ class TestSimulate:
         assert code == 1
         assert "--level" in err
 
-    def test_cell_failure_becomes_error_row(self, capsys, tmp_path):
-        # draws below the Monte Carlo minimum fails inside the cell, not the run
+    def test_cell_failure_becomes_error_row(self, capsys, tmp_path, monkeypatch):
+        # a cell that fails while it runs becomes an error row, not a failed run
+        def failing(config, cell_index=0):
+            raise DegenerateRateError("40 degenerate draws out of 2040 attempts; data look pathological")
+
+        monkeypatch.setattr(simulate, "run_study", failing)
         code, out, err = run(
             capsys, "simulate", "--config", write_grid(tmp_path),
-            "--reps", "3", "--draws", "50",
+            "--reps", "3", "--draws", "500",
         )
         assert code == 0 and err == ""
         body = list(csv.reader(io.StringIO(out)))[1:]
@@ -499,16 +504,14 @@ class TestSimulate:
         assert body[0][9:13] == ["", "", "", ""]
         assert "draws" in body[0][13]
 
-    def test_draw_cap_becomes_error_row(self, capsys, tmp_path):
+    @pytest.mark.parametrize("draws", ["50", str(_MAX_DRAWS + 1)])
+    def test_draws_out_of_range(self, capsys, tmp_path, draws):
+        # each cell is checked when it is built, as ci checks --draws
         code, out, err = run(
-            capsys, "simulate", "--config", write_grid(tmp_path),
-            "--reps", "3", "--draws", str(_MAX_DRAWS + 1),
+            capsys, "simulate", "--config", write_grid(tmp_path), "--reps", "3", "--draws", draws,
         )
-        assert code == 0 and err == ""
-        body = list(csv.reader(io.StringIO(out)))[1:]
-        assert len(body) == 1
-        assert body[0][9:13] == ["", "", "", ""]
-        assert "draws" in body[0][13]
+        assert code == 1 and out == ""
+        assert "invalid input" in err and "draws" in err
 
 
 class TestExamples:

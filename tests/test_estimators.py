@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from common_cv import estimators
 from common_cv.errors import NoConvergenceError, ValidationError
 from common_cv.estimators import (
     _bracketed_root,
@@ -237,6 +238,24 @@ class TestNewtonMle:
 
         assert _bracketed_root(f, 0.0, 1.3, 1.0, 1.0 - 1.3**10) == 1.0
         assert len(calls) < 30
+
+    def test_secant_within_an_ulp_steps_off_the_end(self, monkeypatch):
+        # once the secant point rounds onto an end of the bracket, stepping
+        # inward from that end by doubling ulps closes the bracket in a few
+        # steps; replacing it by the midpoint took 41 evaluations of h here
+        study = study_of(
+            [10, 20, 20],
+            [1.3160974672289751, 1.048400747866781, 1.1287316249753352],
+            [0.6165515787745521, 0.4929610279660905, 0.5628632935100111],
+        )
+        calls = []
+
+        def counted(f, *bracket):
+            return _bracketed_root(lambda p: calls.append(p) or f(p), *bracket)
+
+        monkeypatch.setattr(estimators, "_bracketed_root", counted)
+        assert newton_mle(study).phi == float.fromhex("0x1.dde95e3a4032ap-2")
+        assert len(calls) <= 10
 
     def test_printed_precision(self, surveys, hospital):
         assert newton_mle(surveys).phi == pytest.approx(0.0369, abs=1e-4)

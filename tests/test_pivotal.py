@@ -28,7 +28,7 @@ from common_cv.pivotal import (
     tian_draw,
 )
 from common_cv.randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream
-from oracles.pivot_quantiles import pivot_formulas, pivots as oracle_pivots
+from oracles.pivot_quantiles import pivot_formulas, pivots as oracle_pivots, variates as oracle_variates
 
 # 95% quantiles recomputed by tests/oracles/pivot_quantiles.py with plain
 # numpy randomness at m = 2e6; package values at m = 2e5 must land nearby
@@ -259,13 +259,22 @@ def _broadcast(groups, u, zg):
     return dict(zip((Method.TIAN, Method.NEW, Method.COMBINED), values))
 
 
+def _block_variates(seed, i, dfs, b):
+    """Block i's (b, k) chi-squares and normals, read by the oracle from
+    the generator its sub-stream is documented to seed."""
+    stream = SeededStream(seed).substream(ROLE_PIVOT_BLOCK, i)
+    return oracle_variates(_generator(stream), dfs, b)
+
+
+def _generator(stream):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([stream.master_seed, stream.stream_id])))
+
+
 def _broadcast_blocks(groups, seed, m):
     """{method: m pivots}: each block's (b, k) variates rebuilt whole from
     the documented layout, through the oracle's broadcast formulas."""
     blocks = [
-        _broadcast(groups, *pivotal._variates(
-            SeededStream(seed).substream(ROLE_PIVOT_BLOCK, i), groups.dfs, min(_BLOCK, m - start)
-        ))
+        _broadcast(groups, *_block_variates(seed, i, groups.dfs, min(_BLOCK, m - start)))
         for i, start in enumerate(range(0, m, _BLOCK))
     ]
     return {method: np.concatenate([block[method] for block in blocks]) for method in blocks[0]}
@@ -305,9 +314,7 @@ class TestDrawsPinnedToBroadcastFormulas:
         # from 8 columns on, a row-wise sum adds pairwise, not left to right
         study = _wide_study(k)
         groups, methods = group_arrays(study), (Method.TIAN, Method.NEW, Method.COMBINED)
-        expected = _broadcast(groups, *pivotal._variates(
-            SeededStream(k).substream(ROLE_PIVOT_BLOCK, 0), groups.dfs, 2000
-        ))
+        expected = _broadcast(groups, *_block_variates(k, 0, groups.dfs, 2000))
         values = _pivot_value_arrays(study, methods, 2000, k)[0]
         for method in methods:
             assert np.array_equal(values[method], expected[method])
@@ -347,8 +354,7 @@ class TestDrawsPinnedToBroadcastFormulas:
         expected = clean.copy()
         summary = [[g.n for g in surveys], [g.mean for g in surveys], [g.sd for g in surveys]]
         for r in rows:
-            child = SeededStream(seed).substream(ROLE_RESAMPLE, int(r))
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, child.stream_id])))
+            rng = _generator(SeededStream(seed).substream(ROLE_RESAMPLE, int(r)))
             oracle_pivots(rng, *summary, 1)  # the flagged first attempt
             expected[r] = oracle_pivots(rng, *summary, 1)[2][0]
         assert np.array_equal(values[Method.COMBINED], expected)
@@ -397,7 +403,7 @@ class TestBlocksOnThreads:
         passes it tells apart by their variates, and every single-row
         resampling attempt if ``also_single_rows``."""
         groups, original = group_arrays(study), pivotal._pivot_values
-        first_block = pivotal._variates(SeededStream(seed).substream(ROLE_PIVOT_BLOCK, 0), groups.dfs, _BLOCK)[0]
+        first_block = _block_variates(seed, 0, groups.dfs, _BLOCK)[0]
 
         def patched(groups, u, zg, requested):
             drawn = original(groups, u, zg, requested)
@@ -434,7 +440,7 @@ class TestBlocksOnThreads:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_worker_error_raised_after_every_worker_joined(self, surveys, monkeypatch, workers):
         groups, seed = group_arrays(surveys), 5
-        third_block = pivotal._variates(SeededStream(seed).substream(ROLE_PIVOT_BLOCK, 2), groups.dfs, _BLOCK)[0]
+        third_block = _block_variates(seed, 2, groups.dfs, _BLOCK)[0]
         third_block = third_block[:pivotal._SLICE]  # its first kernel pass
         original = pivotal._pivot_values
 

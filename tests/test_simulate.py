@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from common_cv import pivotal
-from common_cv.errors import NumericalError, ValidationError
+from common_cv import pivotal, simulate
+from common_cv.errors import DegenerateRateError, NumericalError, ValidationError
 from common_cv.model import Method
 from common_cv.simulate import (
     ALL_METHODS,
@@ -43,6 +43,16 @@ class TestSimConfig:
             dict(master_seed=2**64),  # would run on seed 0's streams
             dict(master_seed=-1),
             dict(master_seed=1.5),
+            dict(phi=math.nan),  # every method would fail, and coverage read nan
+            dict(phi=math.inf),
+            dict(mus=(1.0, math.inf, 2.0)),
+            dict(mus=(1.0, math.nan, 2.0)),
+            dict(reps=2.5),
+            dict(ns=(5.7, 5, 5)),  # was truncated to 5
+            dict(m=50),  # would fail every replication's intervals call
+            dict(m=2000.5),
+            dict(m=10**7 + 1),
+            dict(m=50, methods=(Method.VERRILL_JOHNSON, Method.NEW)),
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -52,6 +62,15 @@ class TestSimConfig:
     def test_seed_stored_as_int(self):
         cfg = config(master_seed=np.uint64(2**64 - 1))
         assert type(cfg.master_seed) is int and cfg == config(master_seed=2**64 - 1)
+
+    def test_integer_fields_stored_as_int(self):
+        cfg = config(ns=(np.int64(10), 10, 10), reps=np.int64(3), m=np.int64(300))
+        assert cfg == config(ns=(10, 10, 10), reps=3, m=300)
+        assert all(type(v) is int for v in (*cfg.ns, cfg.reps, cfg.m))
+
+    def test_draw_count_unchecked_without_a_pivotal_method(self):
+        # vj is closed-form and ignores m, as intervals does
+        assert config(m=50, methods=(Method.VERRILL_JOHNSON,)).m == 50
 
     def test_negative_mus_allowed(self):
         assert config(mus=(-1.0, -1.0, -2.0)).mus == (-1.0, -1.0, -2.0)
@@ -215,9 +234,16 @@ class TestRunGrid:
         cfg = config()
         assert run_grid([cfg])[0].performance == run_study(cfg).performance
 
-    def test_cell_error_isolated(self):
-        good = config()
-        bad = config(m=50)  # below the minimum pivotal draw count
+    def test_cell_error_isolated(self, monkeypatch):
+        good, bad = config(), config(phi=0.4)
+        run_study = simulate.run_study
+
+        def failing_for_bad(cfg, cell_index=0):
+            if cfg == bad:
+                raise DegenerateRateError("40 degenerate draws out of 2040 attempts; data look pathological")
+            return run_study(cfg, cell_index)
+
+        monkeypatch.setattr(simulate, "run_study", failing_for_bad)
         results = run_grid([good, bad, good])
         assert results[0].error is None and results[0].performance
         assert results[1].error is not None and "draws" in results[1].error
