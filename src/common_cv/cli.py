@@ -254,14 +254,14 @@ def _cmd_simulate(args) -> int:
         )
         for phi, mus, ns in read_grid_csv(_source(args.config))
     ]
-    results = run_grid(configs)
-
     header = grid_header(len(configs[0].mus)) + [
         "reps", "draws", "level", "seed", "method", "coverage", "avg_length", "failures", "error"
     ]
     own = args.out != "-"
+    # opened before the grid runs, so that an unwritable path fails at once
     fh = open(args.out, "w", newline="") if own else sys.stdout
     try:
+        results = run_grid(configs)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for res in results:

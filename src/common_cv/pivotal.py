@@ -32,8 +32,9 @@ whose replicate stays degenerate, fails alone.  Draws can be negative:
 the pivots have heavy tails when a mean/sd ratio is small, and no
 truncation is applied.
 
-Each kernel pass hands each method's values to a reducer that keeps only
-what the caller reads: every draw (:class:`_Values`), the two tails
+Each kernel pass hands each method's values to one reducer per method,
+which every thread of the call feeds under one lock.  A reducer keeps
+only what the caller reads: every draw (:class:`_Values`), the two tails
 beyond the interval ends (:class:`_Tails`), or the two counts of a test
 (:class:`_Counts`).  An order statistic or a count does not depend on
 the order its values arrive in, so every end and p-value is the one all
@@ -109,6 +110,7 @@ def _variate_slices(stream: SeededStream, dfs: np.ndarray, b: int):
     for first in range(0, b, _SLICE):
         zg = stream.standard_normal((min(_SLICE, b - first), dfs.size))
         yield first, u[first:first + _SLICE], zg
+    del u, zg  # freed before the spare normals are drawn, once the caller drops its views
     stream.standard_normal(b)
 
 
@@ -227,73 +229,47 @@ def _resample(groups, method, base, rows, m, reducer):
     return count, None
 
 
-def _ends(vals, lo, hi):
-    """The values at 0-based ranks lo and hi of ``vals``, selected in place:
-    one single-kth partition per end, as a multi-kth
-    np.partition(vals, [lo, hi]) is several times slower than two of them
-    at m = 10^6."""
-    vals.partition(lo)
-    lower = float(vals[lo])
-    vals.partition(hi)
-    return lower, float(vals[hi])
-
-
-# The engine hands each kernel pass to one reducer per method and worker:
-# ``feed(first, vals, bad)`` gets the pass's values, its first replicate's
-# index and the indices in ``vals`` of its degenerate values, which the
-# reducer skips (they are regenerated and fed in one by one later);
-# ``worker()`` gives the reducer one more worker thread feeds,
-# ``merge(part)`` takes that one back after the join, and ``result()`` is
-# what the engine returns for the method.
+# The engine hands each kernel pass to one reducer per method, shared by
+# all its worker threads under one lock: ``feed(first, vals, bad)`` gets
+# the pass's values, its first replicate's index and the indices in
+# ``vals`` of its degenerate values, which the reducer skips (they are
+# regenerated and fed in one by one later), and ``result()`` is what the
+# engine returns for the method.
 
 
 class _Values:
-    """Every draw in replicate order, in one m-array the workers fill in
-    disjoint slices: serves :func:`generate_draws`, and given the ranks
-    (lo, hi) gives the interval ends selected in place on it instead.
-    """
+    """Every draw in replicate order, in one m-array: serves
+    :func:`generate_draws`."""
 
-    def __init__(self, m, *ends):
-        self.values, self.ends = np.empty(m), ends
-
-    def worker(self):
-        return self
+    def __init__(self, m):
+        self.values = np.empty(m)
 
     def feed(self, first, vals, bad):
         self.values[first:first + vals.size] = vals
 
-    def merge(self, part):
-        pass
-
     def result(self):
-        return _ends(self.values, *self.ends) if self.ends else self.values
+        return self.values
 
 
 class _Tails:
     """The ends of an equal-tailed interval: the order statistics at the
     0-based ranks lo and hi of all m draws.  Serves :func:`intervals`.
 
-    A reducer keeps the lo + 1 smallest and the m - hi largest values fed
-    to it, among a few more, in one buffer of :meth:`room` values.  Values
-    enter until the buffer is full; then it is partitioned in place, both
-    tails kept, and their inner ends become cuts: from then on only a
-    value below the low cut or above the high cut enters.  A value between
-    the cuts has lo + 1 values at or below it and m - hi at or above it
-    already, so it is neither end.  A feed brings at most one pass.
+    The reducer keeps the lo + 1 smallest and the m - hi largest values
+    fed to it, among a few more, in one buffer of twice both tails and one
+    pass, or of all m values where that is fewer; m values never fill it.
+    Values enter until the buffer is full; then it is partitioned in
+    place, both tails kept, and their inner ends become cuts: from then on
+    only a value below the low cut or above the high cut enters.  A value
+    between the cuts has lo + 1 values at or below it and m - hi at or
+    above it already, so it is neither end.  A feed brings at most one
+    pass.
     """
 
-    @staticmethod
-    def room(m, lo, hi):
-        """The values a buffer holds: twice both tails, and one pass."""
-        return 2 * (lo + 1 + m - hi) + _SLICE
-
     def __init__(self, m, lo, hi):
-        self.m, self.lo, self.hi = m, lo, hi
-        self.high = m - hi  # the values at ranks hi and above
-        self.buf, self.size, self.cuts = np.empty(self.room(m, lo, hi)), 0, None
-
-    def worker(self):
-        return _Tails(self.m, self.lo, self.hi)
+        self.lo, self.high = lo, m - hi  # high: the values at ranks hi and above
+        self.buf = np.empty(min(m, 2 * (lo + 1 + self.high) + _SLICE))
+        self.size, self.cuts = 0, None
 
     def feed(self, first, vals, bad):
         if bad.size:
@@ -316,13 +292,15 @@ class _Tails:
         vals[lo + 1:lo + 1 + self.high] = vals[hi:]
         self.size = lo + 1 + self.high
 
-    def merge(self, part):
-        vals = part.buf[:part.size]
-        for first in range(0, vals.size, _SLICE):
-            self.feed(first, vals[first:first + _SLICE], _NO_ROWS)
-
     def result(self):
-        return _ends(self.buf[:self.size], self.lo, self.size - self.high)
+        # one single-kth partition per end, selected in place: a multi-kth
+        # np.partition(vals, [lo, hi]) is several times slower than two of
+        # them at m = 10^6
+        vals, lo, hi = self.buf[:self.size], self.lo, self.size - self.high
+        vals.partition(lo)
+        lower = float(vals[lo])
+        vals.partition(hi)
+        return lower, float(vals[hi])
 
 
 class _Counts:
@@ -332,18 +310,11 @@ class _Counts:
     def __init__(self, phi0):
         self.phi0, self.at_most, self.at_least = phi0, 0, 0
 
-    def worker(self):
-        return _Counts(self.phi0)
-
     def feed(self, first, vals, bad):
         if bad.size:
             vals = np.delete(vals, bad)
         self.at_most += int(np.count_nonzero(vals <= self.phi0))
         self.at_least += int(np.count_nonzero(vals >= self.phi0))
-
-    def merge(self, part):
-        self.at_most += part.at_most
-        self.at_least += part.at_least
 
     def result(self):
         return self.at_most, self.at_least
@@ -375,13 +346,14 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
     replicates drawn, also for a method that failed.
 
     Blocks are filled on W = min(_WORKERS, blocks) threads, the calling
-    thread included: worker w takes blocks w, w + W, w + 2W, ...  Each
-    worker feeds its own reducers (or its own slices of the shared
-    array), and each kernel pass lists its degenerate rows in its own
-    slot, so the result is bit-identical for any worker count; after the
-    join the other workers' reducers are merged into the calling
-    thread's and the rows are regenerated serially in ascending order.
-    One block stays on the calling thread.  An exception in any worker
+    thread included: worker w takes blocks w, w + W, w + 2W, ...  Every
+    worker feeds each kernel pass to the same reducer per method, under
+    one lock per call, so an interval holds one buffer of tails however
+    many threads fill it.  A reducer's result does not depend on the
+    order passes arrive in, and each pass lists its degenerate rows in its
+    own slot, so the result is bit-identical for any worker count; after
+    the join the rows are regenerated serially in ascending order.  One
+    block stays on the calling thread.  An exception in any worker
     is raised here once every worker has joined.  The callers have
     checked (m, seed) with :func:`_draw_args`.
     """
@@ -395,34 +367,33 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
     blocks = -(-m // _BLOCK)
     workers = min(_WORKERS, blocks)
     reducers = {method: reduce() if reduce else _Values(m) for method in methods}
-    # the calling thread feeds the reducers themselves, and each other
-    # worker its own, merged into them after the join
-    parts = [reducers] + [
-        {method: reducer.worker() for method, reducer in reducers.items()} for _ in range(1, workers)
-    ]
+    lock = threading.Lock()
     # each pass lists its degenerate rows in its own slot (a block is a
     # whole number of passes)
     bad_rows = {method: [None] * -(-m // _SLICE) for method in methods}
     errors = [None] * workers
 
-    def fill_block(i, part):
-        # a function, so that a block's arrays are freed before the next
-        # block is drawn: a thread holds one block's working set at a time
-        start = i * _BLOCK
-        stream = base.substream(ROLE_PIVOT_BLOCK, i)
-        for first, u, zg in _variate_slices(stream, groups.dfs, min(_BLOCK, m - start)):
-            pivots = _pivot_values(groups, u, zg, methods)
-            first += start
-            for method, reducer in part.items():
+    def feed(first, pivots):
+        with lock:
+            for method, reducer in reducers.items():
                 vals, bad = pivots[method]
                 bad = np.flatnonzero(bad)
                 reducer.feed(first, vals, bad)
                 bad_rows[method][first // _SLICE] = bad + first
 
+    def fill_block(i):
+        # a function, so that a block's arrays are freed before the next
+        # block is drawn: a thread holds one block's working set at a time
+        start = i * _BLOCK
+        stream = base.substream(ROLE_PIVOT_BLOCK, i)
+        for first, u, zg in _variate_slices(stream, groups.dfs, min(_BLOCK, m - start)):
+            feed(start + first, _pivot_values(groups, u, zg, methods))
+            del u, zg  # so the block's arrays are freed before its spare normals are drawn
+
     def fill(worker):
         try:
             for i in range(worker, blocks, workers):
-                fill_block(i, parts[worker])
+                fill_block(i)
         except BaseException as exc:  # raised by the caller once every worker has joined
             errors[worker] = exc
 
@@ -442,8 +413,6 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
 
     results, rejected = {}, {}
     for method, reducer in reducers.items():
-        for part in parts[1:]:
-            reducer.merge(part[method])
         rows = np.concatenate(bad_rows[method])  # ascending: the slots are in row order
         rejected[method], error = _resample(groups, method, base, rows, m, reducer)
         results[method] = reducer.result() if error is None else error
@@ -509,12 +478,11 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
     m and seed.  Invalid arguments raise ValidationError.
 
     Each end is the order statistic :func:`quantile` would give on all m
-    draws.  Where a buffer of both tails beyond the ends (see
-    :class:`_Tails`), about 2(1 - level) m + 2^13 values, is at most half
-    the draws, the engine keeps only that buffer per method and worker
-    thread: at m = 10^6 from a level of about 0.75 up.  Otherwise, as for
-    a call of one kernel pass, the ends are selected in place on all m
-    draws, one array per method.
+    draws.  The engine keeps per method one buffer of both tails beyond
+    the ends (see :class:`_Tails`), about 2(1 - level) m + 2^13 values,
+    shared by its worker threads, and selects the ends in place on it.
+    The buffer holds all m draws where they are fewer: at m = 10^6 below
+    a level of about 0.5, and in a call of one kernel pass.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
@@ -524,8 +492,7 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
         m, seed = _draw_args(m, seed)
         alpha = 1.0 - level
         lo, hi = _order_index(alpha / 2.0, m), _order_index(1.0 - alpha / 2.0, m)
-        reducer = _Tails if 2 * _Tails.room(m, lo, hi) <= m else _Values
-        found = _pivot_value_arrays(study, pivotal, m, seed, lambda: reducer(m, lo, hi))[0]
+        found = _pivot_value_arrays(study, pivotal, m, seed, lambda: _Tails(m, lo, hi))[0]
     results = {}
     for method in methods:
         if method is Method.VERRILL_JOHNSON:
@@ -549,10 +516,16 @@ def gpq_tests(
     The proportion of draws at or below phi0 estimates the evidence for
     phi > phi0 and vice versa; the two-sided p-value doubles the smaller
     tail and is capped at 1.  The engine keeps only the two counts per
-    method and worker thread, no draws.
+    method, no draws.  ``alternative`` is an :class:`Alternative` or its
+    value, such as "greater"; anything else raises ValidationError.
     """
     if not math.isfinite(phi0):
         raise ValidationError(f"null value must be finite, got {phi0}")
+    try:
+        alternative = Alternative(alternative)
+    except ValueError:
+        choices = ", ".join(repr(alt.value) for alt in Alternative)
+        raise ValidationError(f"alternative must be one of {choices}, got {alternative!r}") from None
     m, seed = _draw_args(m, seed)
     results = _pivot_value_arrays(study, methods, m, seed, lambda: _Counts(phi0))[0]
     for method, counts in results.items():

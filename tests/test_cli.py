@@ -11,7 +11,7 @@ from importlib import resources
 
 import pytest
 
-from common_cv import pivotal, simulate
+from common_cv import cli, pivotal, simulate
 from common_cv.cli import main
 from common_cv.errors import DegenerateRateError
 from common_cv.estimators import feltz_miller_estimate, new_estimate, newton_mle
@@ -503,6 +503,17 @@ class TestSimulate:
         assert len(body) == 1
         assert body[0][9:13] == ["", "", "", ""]
         assert "draws" in body[0][13]
+
+    def test_unwritable_out_fails_before_the_grid_runs(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_grid", lambda configs: calls.append(configs) or [])
+        code, out, err = run(
+            capsys, "simulate", "--config", write_grid(tmp_path),
+            "--reps", "3", "--draws", "500", "--out", str(tmp_path / "missing" / "results.csv"),
+        )
+        assert code == 3 and out == ""
+        assert "i/o error" in err
+        assert calls == []
 
     @pytest.mark.parametrize("draws", ["50", str(_MAX_DRAWS + 1)])
     def test_draws_out_of_range(self, capsys, tmp_path, draws):

@@ -457,6 +457,15 @@ class TestBlocksOnThreads:
             _pivot_value_arrays(surveys, self.ALL, self.M, seed)
         assert threading.active_count() == before
 
+    def test_shared_reducers_do_not_depend_on_worker_count(self, hospital, monkeypatch, fast_switching):
+        # every thread feeds the same reducer per method: a lost feed would
+        # move an interval end or a count
+        runs = self._per_worker_count(monkeypatch, lambda: (
+            intervals(hospital, self.ALL, 0.9, self.M, seed=6),
+            gpq_tests(hospital, self.ALL, 0.8, Alternative.TWO_SIDED, self.M, seed=6),
+        ))
+        assert all(run == runs[0] for run in runs[1:])
+
     @pytest.mark.parametrize("m, started", [(2000, 0), (_BLOCK, 0), (_BLOCK + 1, 1), (M, 3)])
     def test_threads_started(self, surveys, monkeypatch, m, started):
         # one block stays on the calling thread; more start one thread per
@@ -482,7 +491,7 @@ class TestReducedAsDrawn:
     generate_draws returns, for any worker count, with degenerate rows
     regenerated, and with a method asked for twice."""
 
-    LEVELS = (0.01, 0.5, 0.9, 0.95)
+    LEVELS = (0.01, 0.5, 0.75, 0.9, 0.95)
     ASKED = (Method.TIAN, Method.NEW, Method.TIAN, Method.COMBINED)
     PHI0 = 0.8
 
@@ -672,6 +681,20 @@ class TestGpqTest:
         with pytest.raises(ValidationError):
             gpq_test(surveys, Method.NEW, float("nan"), Alternative.LESS, 1000, seed=0)
 
+    @pytest.mark.parametrize("alternative", list(Alternative))
+    def test_alternative_by_value(self, hospital, alternative):
+        # a plain string names the same test as its enum member
+        by_value = gpq_tests(hospital, PIVOTAL, 0.5, alternative.value, 1000, seed=0)
+        assert by_value == gpq_tests(hospital, PIVOTAL, 0.5, alternative, 1000, seed=0)
+        assert all(res.alternative is alternative for res in by_value.values())
+
+    @pytest.mark.parametrize("alternative", [None, "two_sided", "GREATER", 1, ["less"]], ids=repr)
+    def test_rejects_unknown_alternative(self, surveys, alternative):
+        with pytest.raises(ValidationError, match="alternative"):
+            gpq_tests(surveys, PIVOTAL, 0.04, alternative, 1000, seed=0)
+        with pytest.raises(ValidationError, match="alternative"):
+            gpq_test(surveys, Method.NEW, 0.04, alternative, 1000, seed=0)
+
     def test_result_metadata(self, surveys):
         res = gpq_test(surveys, Method.TIAN, 0.04, Alternative.LESS, 500, seed=2)
         assert res.method is Method.TIAN
@@ -736,12 +759,28 @@ class TestFrontDoor:
         monkeypatch.setattr(pivotal, "_WORKERS", 1)
         assert _traced_peak(lambda: call(hospital)) < 4 * 2**20
 
-    def test_low_levels_select_on_all_draws(self, hospital, monkeypatch):
-        # at level 0.5 the tails are all the draws: one 8 MB array per
-        # method, not a buffer of m values per method and worker thread
+    def test_one_tails_buffer_for_all_worker_threads(self, hospital, monkeypatch):
+        # two threads each hold a block's working set (about 1.5 MiB), but
+        # feed one buffer of tails (0.8 MiB); one buffer per thread took
+        # 4.8 MiB in all
+        monkeypatch.setattr(pivotal, "_WORKERS", 2)
+        assert _traced_peak(lambda: intervals(hospital, (Method.TIAN,), 0.95, 10**6, seed=0)) < 4.25 * 2**20
+
+    def test_middle_levels_keep_only_the_tails(self, hospital, monkeypatch):
+        # at level 0.75 each method's buffer of tails is about half its 8 MB
+        # of draws: three methods keep less than two methods' draws
         monkeypatch.setattr(pivotal, "_WORKERS", 2)
         m = 10**6
-        assert _traced_peak(lambda: intervals(hospital, PIVOTAL, 0.5, m, seed=0)) < 4 * 8 * m
+        assert _traced_peak(lambda: intervals(hospital, PIVOTAL, 0.75, m, seed=0)) < 2 * 8 * m
+
+    def test_low_levels_select_on_all_draws(self, hospital, monkeypatch):
+        # from level 0.5 down the tails are all the draws: one buffer of m
+        # values (8 MB) per method, however many threads feed it, and never
+        # twice the tails (16 MB per method at level 0.01)
+        monkeypatch.setattr(pivotal, "_WORKERS", 2)
+        m = 10**6
+        for level in (0.5, 0.01):
+            assert _traced_peak(lambda: intervals(hospital, PIVOTAL, level, m, seed=0)) < 4 * 8 * m
 
     @pytest.mark.parametrize("method", PIVOTAL)
     def test_test_alone_matches_joint(self, hospital, method):
