@@ -10,6 +10,7 @@ by an explicit --seed; a seed is an integer in [0, 2^64).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -222,8 +223,7 @@ def _cmd_test(args) -> int:
     study = _load_study(args)
     seed = _resolve_seed(args)
     methods = _resolve_methods(args.method, testing=True)
-    alternative = Alternative(args.alternative)
-    for res in _in_order(gpq_tests(study, methods, args.null, alternative, args.draws, seed)):
+    for res in _in_order(gpq_tests(study, methods, args.null, args.alternative, args.draws, seed)):
         record = {
             "method": res.method.value,
             "null": res.phi0,
@@ -257,10 +257,8 @@ def _cmd_simulate(args) -> int:
     header = grid_header(len(configs[0].mus)) + [
         "reps", "draws", "level", "seed", "method", "coverage", "avg_length", "failures", "error"
     ]
-    own = args.out != "-"
     # opened before the grid runs, so that an unwritable path fails at once
-    fh = open(args.out, "w", newline="") if own else sys.stdout
-    try:
+    with contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", newline="") as fh:
         results = run_grid(configs)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -276,9 +274,6 @@ def _cmd_simulate(args) -> int:
                 writer.writerow(
                     prefix + [method.value, repr(perf.coverage), repr(perf.avg_length), perf.failures, ""]
                 )
-    finally:
-        if own:
-            fh.close()
     return 0
 
 

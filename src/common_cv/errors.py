@@ -53,8 +53,8 @@ class NumericalError(RuntimeError):
 
 
 class DegenerateDenominatorError(NumericalError):
-    """A pivotal denominator came out exactly zero; the draw must be
-    regenerated."""
+    """A denominator came out zero: in one draw of a single-draw pivotal
+    function, or in the new estimate's weighted sum.  Nothing is redrawn."""
 
 
 class NoConvergenceError(NumericalError):

@@ -22,12 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominatorError,
-    NoConvergenceError,
-    ValidationError,
-)
+from .errors import DegenerateDenominatorError, NoConvergenceError
 from .model import IntervalResult, Method, ParameterVector, SampleSummary, Study, group_arrays
+from .randgen import checked_real
 
 _PHI_MAX = 1e6  # largest |phi| searched for the MLE
 
@@ -205,17 +202,9 @@ def vj_interval(study: Study, level: float) -> IntervalResult:
     is the total observation count.  Deterministic, so the result carries
     draws=0 and no seed.
     """
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"confidence level must be in (0, 1), got {level}")
+    level = checked_real(level, "confidence level", 0.0, 1.0)
     phi = newton_mle(study).phi
     n_total = study.n
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * math.sqrt((phi**4 + phi**2 / 2.0) / n_total)
-    return IntervalResult(
-        method=Method.VERRILL_JOHNSON,
-        level=level,
-        lower=phi - half,
-        upper=phi + half,
-        draws=0,
-        seed=None,
-    )
+    return IntervalResult(method=Method.VERRILL_JOHNSON, level=level, lower=phi - half, upper=phi + half)

@@ -18,6 +18,7 @@ order mark (Excel's "CSV UTF-8") is dropped from all three.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from importlib import resources
@@ -141,16 +142,11 @@ def write_summary_csv(study: Study, dest) -> None:
     Floats are written in shortest round-trip form, so reading the file
     back reproduces the study (and therefore all inference results) exactly.
     """
-    own = not hasattr(dest, "write")
-    fh = open(dest, "w", newline="") if own else dest
-    try:
+    with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
         for i, g in enumerate(study.groups):
             writer.writerow([g.label or f"group{i + 1}", g.n, repr(g.mean), repr(g.sd)])
-    finally:
-        if own:
-            fh.close()
 
 
 def _bundled(name: str) -> str:

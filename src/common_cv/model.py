@@ -24,6 +24,7 @@ from .errors import (
     ZeroMeanError,
     ZeroVarianceError,
 )
+from .randgen import checked_real
 
 
 class Method(enum.Enum):
@@ -63,10 +64,10 @@ class SampleSummary:
             raise TooFewObservationsError(f"group size must be an integer, got {self.n!r}")
         if self.n < 2:
             raise TooFewObservationsError(f"need at least 2 observations, got n={self.n}")
-        if not math.isfinite(self.mean) or self.mean == 0.0:
+        object.__setattr__(self, "mean", checked_real(self.mean, "group mean", error=ZeroMeanError))
+        if self.mean == 0.0:
             raise ZeroMeanError(f"group mean must be finite and nonzero, got {self.mean!r}")
-        if not math.isfinite(self.sd) or self.sd <= 0.0:
-            raise ZeroVarianceError(f"group sd must be finite and positive, got {self.sd!r}")
+        object.__setattr__(self, "sd", checked_real(self.sd, "group sd", 0.0, error=ZeroVarianceError))
 
     @property
     def cv(self) -> float:
@@ -138,14 +139,11 @@ class ParameterVector:
     sigmas: tuple[float, ...]
 
     def __post_init__(self):
-        sigmas = tuple(float(s) for s in self.sigmas)
-        object.__setattr__(self, "sigmas", sigmas)
-        object.__setattr__(self, "phi", float(self.phi))
-        if self.phi == 0.0 or not math.isfinite(self.phi):
+        object.__setattr__(self, "phi", checked_real(self.phi, "phi", error=ZeroMeanError))
+        if self.phi == 0.0:
             raise ZeroMeanError(f"phi must be finite and nonzero, got {self.phi!r}")
-        for s in sigmas:
-            if s <= 0.0 or not math.isfinite(s):
-                raise NonPositiveSigmaError(f"sigmas must be finite and positive, got {s!r}")
+        sigmas = tuple(checked_real(s, "a sigma", 0.0, error=NonPositiveSigmaError) for s in self.sigmas)
+        object.__setattr__(self, "sigmas", sigmas)
 
     @property
     def eta(self) -> float:

@@ -69,7 +69,7 @@ from .model import (
     TestResult,
     group_arrays,
 )
-from .randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream, checked_int, checked_seed
+from .randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream, checked_int, checked_real, checked_seed
 
 _MIN_DRAWS = 100
 _MAX_DRAWS = 10**7  # generate_draws holds one float array of m values: about 80 MB at the cap
@@ -459,8 +459,7 @@ def quantile(draws: PivotalDraws | np.ndarray, p: float) -> float:
     selecting costs one copy of it; :func:`intervals` keeps only the tails
     of its draws instead.
     """
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"quantile level must be in (0, 1), got {p}")
+    p = checked_real(p, "quantile level", 0.0, 1.0)
     vals = draws.values if isinstance(draws, PivotalDraws) else np.asarray(draws, float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValidationError(f"need a non-empty 1-D array of draws, got shape {vals.shape}")
@@ -484,8 +483,7 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
     The buffer holds all m draws where they are fewer: at m = 10^6 below
     a level of about 0.5, and in a call of one kernel pass.
     """
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"confidence level must be in (0, 1), got {level}")
+    level = checked_real(level, "confidence level", 0.0, 1.0)
     pivotal = tuple(method for method in methods if method is not Method.VERRILL_JOHNSON)
     found = {}
     if pivotal:
@@ -519,8 +517,7 @@ def gpq_tests(
     method, no draws.  ``alternative`` is an :class:`Alternative` or its
     value, such as "greater"; anything else raises ValidationError.
     """
-    if not math.isfinite(phi0):
-        raise ValidationError(f"null value must be finite, got {phi0}")
+    phi0 = checked_real(phi0, "null value")
     try:
         alternative = Alternative(alternative)
     except ValueError:

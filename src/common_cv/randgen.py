@@ -16,6 +16,7 @@ scale 2), which is O(1) per draw for every df >= 1.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -31,6 +32,11 @@ ROLE_RESAMPLE = 2
 ROLE_SIM_DATA = 3
 ROLE_SIM_PIVOTS = 4
 
+# What checked_real rejects though float() reads it, and how it words its two
+# open-ended ranges; any other range reads "in (low, high)".
+_NOT_REAL = (str, bytes, bytearray, bool, np.bool_)
+_RANGE_WORDS = {(-math.inf, math.inf): "finite", (0.0, math.inf): "positive and finite"}
+
 
 def checked_int(value, what: str) -> int:
     """``value`` as a plain int, or ValidationError naming ``what`` if it
@@ -41,6 +47,20 @@ def checked_int(value, what: str) -> int:
     except TypeError:
         pass
     raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def checked_real(value, what: str, low=-math.inf, high=math.inf, error=ValidationError) -> float:
+    """``value`` as a plain float strictly between ``low`` and ``high``, or
+    ``error`` naming ``what``: for a number out of range, NaN, or anything
+    not a real number (a str, bytes, a bool, None, a complex number)."""
+    try:
+        x = math.nan if isinstance(value, _NOT_REAL) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not low < x < high:
+        words = _RANGE_WORDS.get((low, high), f"in ({low:g}, {high:g})")
+        raise error(f"{what} must be {words}, got {value!r}")
+    return x
 
 
 def checked_seed(seed) -> int:

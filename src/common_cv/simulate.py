@@ -5,7 +5,7 @@ from Normal(mu_i, (phi*mu_i)^2)), builds every requested interval on it,
 and records the interval length and whether it contains the true CV: phi,
 or -phi when the means are negative.  All methods see the same datasets,
 so differences between methods are not Monte Carlo noise.
-Per-replication randomness is derived from (master_seed, cell_index,
+Per-replication randomness is derived from (master_seed,
 replication_index), which makes every cell and every replication
 individually reproducible and independent of execution order.
 
@@ -25,7 +25,8 @@ from .model import PIVOTAL_METHODS, IntervalResult, Method, Study, summarize
 # Only intervals is called here; perfbench/tracer.py wraps the other bindings.
 from .pivotal import _pivot_value_arrays, generate_draws, intervals, quantile, vj_interval  # noqa: F401
 from .pivotal import _draw_args
-from .randgen import ROLE_SIM_DATA, ROLE_SIM_PIVOTS, SeededStream, checked_int, checked_seed, mix_components
+from .randgen import ROLE_SIM_DATA, ROLE_SIM_PIVOTS, SeededStream, checked_int, checked_real, checked_seed
+from .randgen import mix_components
 
 ALL_METHODS = (Method.TIAN, Method.VERRILL_JOHNSON, Method.NEW, Method.COMBINED)
 
@@ -44,7 +45,7 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "mus", tuple(float(v) for v in self.mus))
+        object.__setattr__(self, "mus", tuple(checked_real(v, "a group mean") for v in self.mus))
         object.__setattr__(self, "ns", tuple(checked_int(v, "a group size") for v in self.ns))
         object.__setattr__(self, "reps", checked_int(self.reps, "reps"))
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -55,9 +56,8 @@ class SimConfig:
             raise ValidationError(
                 f"need matching mus/ns with at least 2 groups, got {len(self.mus)} and {len(self.ns)}"
             )
-        if not 0.0 < self.phi < math.inf:
-            raise ValidationError(f"phi must be positive and finite, got {self.phi}")
-        if not all(math.isfinite(mu) and mu != 0.0 for mu in self.mus):
+        object.__setattr__(self, "phi", checked_real(self.phi, "phi", 0.0))
+        if 0.0 in self.mus:
             raise ValidationError(f"group means must be finite and nonzero, got {self.mus}")
         if min(self.mus) < 0.0 < max(self.mus):
             raise ValidationError(f"group means must share one sign, got {self.mus}")
@@ -65,8 +65,7 @@ class SimConfig:
             raise ValidationError(f"group sizes must be >= 2, got {self.ns}")
         if self.reps < 1:
             raise ValidationError(f"reps must be >= 1, got {self.reps}")
-        if not 0.0 < self.level < 1.0:
-            raise ValidationError(f"level must be in (0, 1), got {self.level}")
+        object.__setattr__(self, "level", checked_real(self.level, "level", 0.0, 1.0))
         if not self.methods or any(m not in ALL_METHODS for m in self.methods):
             raise ValidationError(f"methods must be a nonempty subset of {ALL_METHODS}")
 
@@ -123,7 +122,7 @@ class _Tally:
         )
 
 
-def run_study(config: SimConfig, cell_index: int = 0) -> SimResult:
+def run_study(config: SimConfig) -> SimResult:
     """Estimate coverage and average length for one cell.
 
     Coverage is the fraction of non-failed replications whose closed
@@ -134,14 +133,15 @@ def run_study(config: SimConfig, cell_index: int = 0) -> SimResult:
     target = math.copysign(config.phi, config.mus[0])
     tallies = {m: _Tally() for m in config.methods}
 
+    # Both stream keys keep a 0 where a cell index was, so no stream changed.
     for r in range(config.reps):
         try:
-            study = _simulate_study(config, root.substream(ROLE_SIM_DATA, cell_index, r))
+            study = _simulate_study(config, root.substream(ROLE_SIM_DATA, 0, r))
         except ValidationError:
             # A degenerate dataset (zero mean/variance) fails every method.
             found = dict.fromkeys(config.methods)
         else:
-            pivot_seed = mix_components(config.master_seed, ROLE_SIM_PIVOTS, cell_index, r)
+            pivot_seed = mix_components(config.master_seed, ROLE_SIM_PIVOTS, 0, r)
             found = intervals(study, config.methods, config.level, config.m, pivot_seed)
         for m, interval in found.items():
             tallies[m].add(interval, target)

@@ -490,7 +490,7 @@ class TestSimulate:
 
     def test_cell_failure_becomes_error_row(self, capsys, tmp_path, monkeypatch):
         # a cell that fails while it runs becomes an error row, not a failed run
-        def failing(config, cell_index=0):
+        def failing(config):
             raise DegenerateRateError("40 degenerate draws out of 2040 attempts; data look pathological")
 
         monkeypatch.setattr(simulate, "run_study", failing)

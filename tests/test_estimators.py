@@ -448,7 +448,7 @@ class TestVjInterval:
         outer = vj_interval(surveys, 0.99)
         assert outer.lower < inner.lower < inner.upper < outer.upper
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, "0.95", None, 1j, True])
     def test_rejects_bad_level(self, surveys, level):
         with pytest.raises(ValidationError):
             vj_interval(surveys, level)

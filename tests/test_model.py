@@ -23,6 +23,9 @@ from common_cv.model import (
     validate_study,
 )
 
+# Values float() or a comparison may take, none of them a real number.
+NOT_REAL = ("0.95", None, 1j, True)
+
 
 class TestSummarize:
     def test_five_survival_times(self):
@@ -108,6 +111,8 @@ class TestSampleSummary:
             (dict(n=2, mean=1.0, sd=0.0), ZeroVarianceError),
             (dict(n=2, mean=1.0, sd=-1.0), ZeroVarianceError),
             (dict(n=2, mean=1.0, sd=float("inf")), ZeroVarianceError),
+            *((dict(n=2, mean=v, sd=1.0), ZeroMeanError) for v in NOT_REAL),
+            *((dict(n=2, mean=1.0, sd=v), ZeroVarianceError) for v in NOT_REAL),
         ],
     )
     def test_invariants(self, kwargs, exc):
@@ -156,6 +161,14 @@ class TestValidateStudy:
         with pytest.raises(ZeroMeanError, match="group 1"):
             validate_study([(5, 1.0, 0.2), (5, 0.0, 0.2)])
 
+    @pytest.mark.parametrize("field", [1, 2])
+    @pytest.mark.parametrize("value", NOT_REAL)
+    def test_non_number_names_index(self, field, value):
+        record = [5, 1.0, 0.2]
+        record[field] = value
+        with pytest.raises((ZeroMeanError, ZeroVarianceError)[field - 1], match="group 0"):
+            validate_study([tuple(record), (7, 2.0, 0.4)])
+
 
 class TestParameterVector:
     def test_eta(self):
@@ -169,6 +182,16 @@ class TestParameterVector:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(NonPositiveSigmaError):
             ParameterVector(phi=0.5, sigmas=(1.0, 0.0))
+
+    @pytest.mark.parametrize("value", ["x", *NOT_REAL])
+    def test_rejects_non_number_phi(self, value):
+        with pytest.raises(ZeroMeanError):
+            ParameterVector(phi=value, sigmas=(1.0,))
+
+    @pytest.mark.parametrize("value", NOT_REAL)
+    def test_rejects_non_number_sigma(self, value):
+        with pytest.raises(NonPositiveSigmaError):
+            ParameterVector(phi=0.5, sigmas=(1.0, value))
 
     def test_negative_phi_allowed(self):
         assert ParameterVector(phi=-0.5, sigmas=(1.0,)).eta == -2.0

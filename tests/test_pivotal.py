@@ -30,6 +30,9 @@ from common_cv.pivotal import (
 from common_cv.randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream
 from oracles.pivot_quantiles import pivot_formulas, pivots as oracle_pivots, variates as oracle_variates
 
+# Values float() or a comparison may take, none of them a real number.
+NOT_REAL = ("0.95", None, 1j, True)
+
 # 95% quantiles recomputed by tests/oracles/pivot_quantiles.py with plain
 # numpy randomness at m = 2e6; package values at m = 2e5 must land nearby
 SURVEY_ORACLE = {
@@ -561,7 +564,7 @@ class TestQuantile:
     def test_single_value(self):
         assert quantile(np.array([7.0]), 0.3) == 7.0
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, *NOT_REAL])
     def test_rejects_bad_p(self, p):
         with pytest.raises(ValidationError):
             quantile(np.arange(10.0), p)
@@ -628,7 +631,7 @@ class TestGpqInterval:
         assert iv.seed == 13
         assert iv.length == iv.upper - iv.lower
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, 1.0001])
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.0001, *NOT_REAL])
     def test_rejects_bad_level(self, surveys, level):
         with pytest.raises(ValidationError):
             gpq_interval(surveys, Method.NEW, level, 1000, seed=0)
@@ -677,9 +680,10 @@ class TestGpqTest:
             res = gpq_test(surveys, Method.TIAN, endpoint, Alternative.TWO_SIDED, m, seed=17)
             assert abs(res.p_value - (1.0 - level)) <= 2.0 / m
 
-    def test_rejects_non_finite_null(self, surveys):
-        with pytest.raises(ValidationError):
-            gpq_test(surveys, Method.NEW, float("nan"), Alternative.LESS, 1000, seed=0)
+    @pytest.mark.parametrize("phi0", [float("nan"), *NOT_REAL])
+    def test_rejects_non_finite_null(self, surveys, phi0):
+        with pytest.raises(ValidationError, match="null value"):
+            gpq_test(surveys, Method.NEW, phi0, Alternative.LESS, 1000, seed=0)
 
     @pytest.mark.parametrize("alternative", list(Alternative))
     def test_alternative_by_value(self, hospital, alternative):
@@ -829,6 +833,13 @@ class TestFrontDoor:
         draws = generate_draws(hospital, Method.NEW, np.int64(1000), np.int64(3))
         assert type(draws.seed) is int and draws.m == 1000
 
+    def test_real_arguments_stored_as_float(self, hospital):
+        found = intervals(hospital, (Method.TIAN, Method.VERRILL_JOHNSON), np.float64(0.95), 1000, 0)
+        assert all(type(iv.level) is float for iv in found.values())
+        assert found == intervals(hospital, (Method.TIAN, Method.VERRILL_JOHNSON), 0.95, 1000, 0)
+        res = gpq_tests(hospital, (Method.NEW,), np.float64(0.8), Alternative.LESS, 1000, 3)[Method.NEW]
+        assert type(res.phi0) is float
+
     def test_vj_alone_ignores_draws_and_seed(self, surveys):
         from common_cv.estimators import vj_interval
 
@@ -858,6 +869,10 @@ class TestFrontDoor:
         (0.95, 99, ALL),  # too few draws
         (0.95, _MAX_DRAWS + 1, ALL),  # too many draws
         (0.95, 1000, (Method.TIAN, "tian")),  # not a method
+        ("0.95", 1000, ALL),  # not a real number
+        (None, 1000, ALL),
+        (1j, 1000, ALL),
+        (True, 1000, ALL),
     ])
     def test_invalid_arguments_raise(self, surveys, level, m, methods):
         with pytest.raises(ValidationError):

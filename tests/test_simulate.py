@@ -16,6 +16,7 @@ from common_cv.simulate import (
 )
 
 FAST = dict(reps=50, m=200, master_seed=7)
+NOT_REAL = ("0.95", None, 1j, True)
 
 
 def config(**overrides) -> SimConfig:
@@ -53,6 +54,9 @@ class TestSimConfig:
             dict(m=2000.5),
             dict(m=10**7 + 1),
             dict(m=50, methods=(Method.VERRILL_JOHNSON, Method.NEW)),
+            *(dict(phi=v) for v in NOT_REAL),  # True was taken as phi = 1
+            *(dict(level=v) for v in NOT_REAL),
+            *(dict(mus=(1.0, v, 2.0)) for v in NOT_REAL),  # "0.95" and True were converted
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -114,12 +118,6 @@ class TestRunStudy:
         full = run_study(config())
         solo = run_study(config(methods=(Method.COMBINED,)))
         assert solo.performance[Method.COMBINED] == full.performance[Method.COMBINED]
-
-    def test_cell_index_changes_data(self):
-        cfg = config()
-        a = run_study(cfg, cell_index=0)
-        b = run_study(cfg, cell_index=1)
-        assert a.performance[Method.TIAN] != b.performance[Method.TIAN]
 
     def test_seed_changes_results(self):
         a = run_study(config(master_seed=1))
@@ -238,10 +236,10 @@ class TestRunGrid:
         good, bad = config(), config(phi=0.4)
         run_study = simulate.run_study
 
-        def failing_for_bad(cfg, cell_index=0):
+        def failing_for_bad(cfg):
             if cfg == bad:
                 raise DegenerateRateError("40 degenerate draws out of 2040 attempts; data look pathological")
-            return run_study(cfg, cell_index)
+            return run_study(cfg)
 
         monkeypatch.setattr(simulate, "run_study", failing_for_bad)
         results = run_grid([good, bad, good])
