@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, NoConvergenceError
+from .errors import DegenerateDenominatorError, NoConvergenceError, NumericalError
 from .model import IntervalResult, Method, ParameterVector, SampleSummary, Study, group_arrays
 from .randgen import checked_real
 
@@ -152,7 +152,9 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     A group of the other sign contributes a positive term.  So the root
     lies in [min q_i, max q_i] over the groups of phi's sign, except that
     with mixed signs the upper end is quadrupled until h < 0.  Raises
-    NoConvergenceError if h stays positive up to |phi| = 1e6.
+    NoConvergenceError if h stays positive up to |phi| = 1e6, and
+    NumericalError before the search if a q_i is not finite and positive,
+    as when sd_i^2 or mean_i^2 leaves the float range.
 
     h is evaluated on plain floats: k is small, and a numpy call costs more
     than the arithmetic on a few groups.
@@ -161,9 +163,11 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     sign = math.copysign(1.0, new_estimate(study))
     # per group: n_i, q_i, and whether the mean has phi's sign
     groups = [
-        (n, (n - 1.0) * (sd * sd) / (n * (mean * mean)), sign * mean > 0.0)
+        (n, (n - 1.0) * (sd * sd) / (n * (mean * mean)) if mean * mean else math.nan, sign * mean > 0.0)
         for n, mean, sd in zip(ns.tolist(), means.tolist(), sds.tolist())
     ]
+    if not all(0.0 < q < math.inf for _, q, _ in groups):
+        raise NumericalError("a group's (n-1) sd^2 / (n mean^2) is not a finite positive float")
 
     def parts(p: float, q: float) -> tuple[float, float]:
         root_s = math.sqrt(1.0 + 4.0 * p * (1.0 + q))

@@ -31,7 +31,7 @@ from .errors import (
     NonNumericValueError,
     ValidationError,
 )
-from .model import SampleSummary, Study, summarize, validate_study
+from .model import SampleSummary, Study, summarize
 
 RAW_HEADER = ["group", "value"]
 SUMMARY_HEADER = ["group", "n", "mean", "sd"]
@@ -100,7 +100,7 @@ def read_raw_csv(source) -> Study:
         if not label:
             raise ValidationError(f"line {lineno}: empty group label")
         by_group.setdefault(label, []).append(_parse_float(field, lineno))
-    return validate_study([summarize(vals, label=lab) for lab, vals in by_group.items()])
+    return Study(tuple(summarize(vals, label=lab) for lab, vals in by_group.items()))
 
 
 def read_summary_csv(source) -> Study:
@@ -113,7 +113,7 @@ def read_summary_csv(source) -> Study:
         mean = _parse_float(mean_field, lineno)
         sd = _parse_float(sd_field, lineno)
         groups.append(SampleSummary(n=n, mean=mean, sd=sd, label=label))
-    return validate_study(groups)
+    return Study(tuple(groups))
 
 
 def grid_header(k: int) -> list[str]:

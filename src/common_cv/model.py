@@ -18,13 +18,14 @@ import numpy as np
 
 from .errors import (
     NonPositiveSigmaError,
+    NumericalError,
     TooFewGroupsError,
     TooFewObservationsError,
     ValidationError,
     ZeroMeanError,
     ZeroVarianceError,
 )
-from .randgen import checked_real
+from .randgen import checked_int, checked_real
 
 
 class Method(enum.Enum):
@@ -60,8 +61,7 @@ class SampleSummary:
     label: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TooFewObservationsError(f"group size must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", checked_int(self.n, "group size", error=TooFewObservationsError))
         if self.n < 2:
             raise TooFewObservationsError(f"need at least 2 observations, got n={self.n}")
         object.__setattr__(self, "mean", checked_real(self.mean, "group mean", error=ZeroMeanError))
@@ -79,14 +79,32 @@ class SampleSummary:
         return self.sd * self.sd
 
 
+def _checked_group(group, index: int) -> SampleSummary:
+    """``group`` as a SampleSummary, checked as :class:`Study` describes;
+    ``index`` is its 0-based place in the study."""
+    try:
+        return group if isinstance(group, SampleSummary) else SampleSummary(*group)
+    except TypeError:  # not iterable, or not 3 or 4 fields
+        raise ValidationError(f"group {index}: not an (n, mean, sd[, label]) record: {group!r}") from None
+    except ValidationError as exc:
+        raise type(exc)(f"group {index}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Study:
-    """Two or more groups assumed to share one coefficient of variation."""
+    """Two or more groups assumed to share one coefficient of variation.
+
+    Each group is a SampleSummary or a loose ``(n, mean, sd[, label])``
+    record, which is checked as :class:`SampleSummary` checks its fields.
+    A ValidationError from a record is re-raised with the group's 0-based
+    index prepended, anything that is not such a record raises
+    ValidationError, and fewer than two groups raise TooFewGroupsError.
+    """
 
     groups: tuple[SampleSummary, ...]
 
     def __post_init__(self):
-        groups = tuple(self.groups)
+        groups = tuple(_checked_group(g, i) for i, g in enumerate(self.groups))
         object.__setattr__(self, "groups", groups)
         if len(groups) < 2:
             raise TooFewGroupsError(f"need at least 2 groups, got {len(groups)}")
@@ -121,9 +139,9 @@ class GroupArrays(NamedTuple):
 
 
 def group_arrays(study: Study | Sequence[SampleSummary]) -> GroupArrays:
-    """Array view of a Study, or of any sequence of SampleSummary (even a
-    single group)."""
-    groups = study.groups if isinstance(study, Study) else tuple(study)
+    """Array view of a Study, or of any sequence of groups (even a single
+    one), each checked as :class:`Study` checks it."""
+    groups = study.groups if isinstance(study, Study) else [_checked_group(g, i) for i, g in enumerate(study)]
     ns = np.array([g.n for g in groups], dtype=float)
     means = np.array([g.mean for g in groups], dtype=float)
     sds = np.array([g.sd for g in groups], dtype=float)
@@ -200,39 +218,38 @@ class TestResult:
 def summarize(observations: Iterable[float], label: str = "") -> SampleSummary:
     """Reduce raw observations to a SampleSummary.
 
-    Rejects groups with fewer than two values, zero spread, or a mean
-    smaller in magnitude than 1e-12 * max(1, max|x|), which would make
-    the coefficient of variation meaningless.
+    Each observation must be a finite real number, as :func:`checked_real`
+    rules, or ValidationError names the group; a 1-D float64 array, as the
+    simulator passes, is checked as a whole.  Rejects groups with fewer
+    than two values, zero spread, or a mean smaller in magnitude than
+    1e-12 * max(1, max|x|), which would make the coefficient of variation
+    meaningless.  Values whose sum or squared deviations overflow a float
+    raise NumericalError.
     """
-    values = [float(v) for v in observations]
+    name = f"group {label or '?'}"
+    floats = isinstance(observations, np.ndarray) and observations.dtype == np.float64 and observations.ndim == 1
+    if floats and np.isfinite(observations).all():
+        values = observations.tolist()
+    else:
+        values = [checked_real(v, f"{name}: an observation") for v in observations]
     n = len(values)
     if n < 2:
-        raise TooFewObservationsError(f"group {label or '?'}: need at least 2 observations, got {n}")
-    mean = math.fsum(values) / n
-    ss = math.fsum((v - mean) ** 2 for v in values)
+        raise TooFewObservationsError(f"{name}: need at least 2 observations, got {n}")
+    try:
+        mean = math.fsum(values) / n
+        ss = math.fsum((v - mean) ** 2 for v in values)
+    except OverflowError:
+        raise NumericalError(f"{name}: a sum over the observations overflows") from None
     if ss == 0.0:
-        raise ZeroVarianceError(f"group {label or '?'}: all observations are equal")
+        raise ZeroVarianceError(f"{name}: all observations are equal")
     scale = max(1.0, max(abs(v) for v in values))
     if abs(mean) < 1e-12 * scale:
-        raise ZeroMeanError(f"group {label or '?'}: mean {mean!r} is indistinguishable from zero")
+        raise ZeroMeanError(f"{name}: mean {mean!r} is indistinguishable from zero")
     sd = math.sqrt(ss / (n - 1))
     return SampleSummary(n=n, mean=mean, sd=sd, label=label)
 
 
 def validate_study(groups: Sequence) -> Study:
-    """Assemble groups into a Study (needs k >= 2).
-
-    Each element may be a SampleSummary or a loose ``(n, mean, sd)`` /
-    ``(n, mean, sd, label)`` record; loose records are validated here and
-    any per-group validation error is re-raised with the 0-based group
-    index prepended.
-    """
-    validated = []
-    for i, g in enumerate(groups):
-        if not isinstance(g, SampleSummary):
-            try:
-                g = SampleSummary(*g)
-            except ValidationError as exc:
-                raise type(exc)(f"group {i}: {exc}") from None
-        validated.append(g)
-    return Study(groups=tuple(validated))
+    """The Study of a sequence of groups, checked as :class:`Study` checks
+    them."""
+    return Study(tuple(groups))

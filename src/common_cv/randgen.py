@@ -38,15 +38,15 @@ _NOT_REAL = (str, bytes, bytearray, bool, np.bool_)
 _RANGE_WORDS = {(-math.inf, math.inf): "finite", (0.0, math.inf): "positive and finite"}
 
 
-def checked_int(value, what: str) -> int:
-    """``value`` as a plain int, or ValidationError naming ``what`` if it
-    is not an integer (a float or a bool is not one)."""
+def checked_int(value, what: str, error=ValidationError) -> int:
+    """``value`` as a plain int, or ``error`` naming ``what`` if it is not
+    an integer (a float or a bool is not one)."""
     try:
         if not isinstance(value, bool):
             return operator.index(value)
     except TypeError:
         pass
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def checked_real(value, what: str, low=-math.inf, high=math.inf, error=ValidationError) -> float:

@@ -133,7 +133,7 @@ def run_study(config: SimConfig) -> SimResult:
     target = math.copysign(config.phi, config.mus[0])
     tallies = {m: _Tally() for m in config.methods}
 
-    # Both stream keys keep a 0 where a cell index was, so no stream changed.
+    # The 0 in both stream keys stays: dropping it would change every replication's data and draws.
     for r in range(config.reps):
         try:
             study = _simulate_study(config, root.substream(ROLE_SIM_DATA, 0, r))

@@ -309,6 +309,20 @@ class TestCi:
         assert code == 1
         assert "invalid input" in err
 
+    # valid inputs that float arithmetic cannot reduce: raw values whose squares
+    # overflow, and an sd whose square underflows in the vj MLE (tian prints first)
+    @pytest.mark.parametrize("content, summary, lines_before", [
+        pytest.param("group,value\na,1e200\na,3e200\nb,1\nb,2\n", (), 0, id="raw"),
+        pytest.param("group,n,mean,sd\na,5,1,1e-170\nb,7,2,0.4\n", ("--summary",), 1, id="summary"),
+    ])
+    def test_beyond_float_range_is_numerical_failure(self, capsys, tmp_path, content, summary, lines_before):
+        path = tmp_path / "extreme.csv"
+        path.write_text(content)
+        code, out, err = run(capsys, "ci", "--input", str(path), *summary, "--draws", "500")
+        assert code == 2
+        assert err.startswith("common-cv: numerical failure: ") and "Traceback" not in err
+        assert len(out.splitlines()) == lines_before
+
     def test_too_few_draws(self, capsys):
         code, _, err = run(
             capsys, "ci", "--input", SURVEYS_PATH, "--summary", "--draws", "50"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from common_cv import estimators
-from common_cv.errors import NoConvergenceError, ValidationError
+from common_cv.errors import NoConvergenceError, NumericalError, ValidationError
 from common_cv.estimators import (
     _bracketed_root,
     feltz_miller_estimate,
@@ -64,6 +64,14 @@ class TestGroupCvs:
     def test_scale_invariant(self, toy_study):
         scaled = [SampleSummary(n=g.n, mean=3.0 * g.mean, sd=3.0 * g.sd) for g in toy_study]
         assert group_cvs(scaled) == pytest.approx(group_cvs(toy_study), rel=1e-12)
+
+    def test_loose_records(self):
+        assert group_cvs([(5, 1.0, 0.2), (5, 2.0, 0.1)]).tolist() == [0.2, 0.05]
+
+    @pytest.mark.parametrize("record", [(5, 1.0), 5, (5, 0.0, 0.2)], ids=repr)
+    def test_bad_record_names_index(self, record):
+        with pytest.raises(ValidationError, match="^group 1: "):
+            group_cvs([(5, 1.0, 0.2), record])
 
 
 class TestPooledEstimates:
@@ -345,6 +353,17 @@ class TestNewtonMle:
         gradient, hessian = score_and_hessian(groups, mle)
         assert np.max(np.abs(gradient)) < 1e-9 * 10  # n = 10
         assert np.all(np.linalg.eigvalsh(hessian) < 0.0)
+
+    # Valid studies whose (n_i-1) sd_i^2 / (n_i mean_i^2) leaves the float range:
+    # sd^2 and mean^2 overflow (q is NaN), mean^2 underflows, and q underflows.
+    @pytest.mark.parametrize("ns, means, sds", [
+        pytest.param([5, 7], [1e160, 2e160], [1e159, 3e159], id="squares overflow"),
+        pytest.param([5, 7], [1e-170, 2e-170], [1e-170, 3e-170], id="mean squared underflows"),
+        pytest.param([5, 7], [1.0, 2.0], [1e-170, 0.4], id="q underflows"),
+    ])
+    def test_scale_outside_float_range_is_numerical_error(self, ns, means, sds):
+        with pytest.raises(NumericalError, match="not a finite positive float"):
+            newton_mle(study_of(ns, means, sds))
 
     def test_mixed_sign_means_without_a_maximum(self):
         # the group of the other sign outweighs the rest: the profile score

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from common_cv.errors import (
     NonPositiveSigmaError,
+    NumericalError,
     TooFewGroupsError,
     TooFewObservationsError,
+    ValidationError,
     ZeroMeanError,
     ZeroVarianceError,
 )
@@ -25,6 +28,8 @@ from common_cv.model import (
 
 # Values float() or a comparison may take, none of them a real number.
 NOT_REAL = ("0.95", None, 1j, True)
+# Groups that are neither a SampleSummary nor an (n, mean, sd[, label]) record.
+NOT_RECORDS = [(5, 1.0), (5, 1.0, 0.2, "a", "b"), 5, None]
 
 
 class TestSummarize:
@@ -91,6 +96,24 @@ class TestSummarize:
     def test_label_carried(self):
         assert summarize([1.0, 2.0], label="g7").label == "g7"
 
+    @pytest.mark.parametrize("values", [
+        [1.0, "x"],
+        [1.0, None],
+        ["1.5", "2"],
+        [True, 2.0, 3.0],
+        [1.0, b"2"],
+        np.array(["1.5", "2"]),
+        np.array([1.0, -np.inf, np.inf]),
+    ], ids=repr)
+    def test_rejects_non_real_observations(self, values):
+        with pytest.raises(ValidationError, match="group g7: an observation"):
+            summarize(values, label="g7")
+
+    @pytest.mark.parametrize("values", [[1e200, 3e200], [1e308, 1e308], np.array([1e200, 3e200])], ids=repr)
+    def test_overflow_is_numerical_error(self, values):
+        with pytest.raises(NumericalError, match="group g7"):
+            summarize(values, label="g7")
+
 
 class TestSampleSummary:
     def test_cv_and_variance(self):
@@ -119,6 +142,11 @@ class TestSampleSummary:
         with pytest.raises(exc):
             SampleSummary(**kwargs)
 
+    @pytest.mark.parametrize("n", [np.int64(5), np.int32(5), np.uint8(5)], ids=repr)
+    def test_numpy_integer_n_stored_as_int(self, n):
+        s = SampleSummary(n=n, mean=4.0, sd=1.0)
+        assert type(s.n) is int and s.n == 5
+
     def test_frozen(self):
         s = SampleSummary(n=5, mean=4.0, sd=1.0)
         with pytest.raises(AttributeError):
@@ -143,6 +171,20 @@ class TestStudy:
         ))
         assert s.labels == ("group1", "named")
 
+    def test_loose_records(self):
+        study = Study(groups=((5, 1.0, 0.2), (7, 2.0, 0.4, "b")))
+        assert study.groups == (SampleSummary(5, 1.0, 0.2), SampleSummary(7, 2.0, 0.4, "b"))
+
+    @pytest.mark.parametrize("record, exc", [
+        *(pytest.param(record, ValidationError, id=repr(record)) for record in NOT_RECORDS),
+        pytest.param((5, 0.0, 0.2), ZeroMeanError, id="zero mean"),
+        pytest.param((5.0, 1.0, 0.2), TooFewObservationsError, id="float n"),
+        pytest.param((1, 1.0, 0.2), TooFewObservationsError, id="n=1"),
+    ])
+    def test_checks_every_group(self, record, exc):
+        with pytest.raises(exc, match="^group 1: "):
+            Study(groups=((5, 1.0, 0.2), record))
+
 
 class TestValidateStudy:
     def test_two_valid_groups(self):
@@ -160,6 +202,11 @@ class TestValidateStudy:
     def test_zero_mean_names_index(self):
         with pytest.raises(ZeroMeanError, match="group 1"):
             validate_study([(5, 1.0, 0.2), (5, 0.0, 0.2)])
+
+    @pytest.mark.parametrize("record", NOT_RECORDS, ids=repr)
+    def test_not_a_record_names_index(self, record):
+        with pytest.raises(ValidationError, match="^group 1: not an"):
+            validate_study([(5, 1.0, 0.2), record])
 
     @pytest.mark.parametrize("field", [1, 2])
     @pytest.mark.parametrize("value", NOT_REAL)

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from common_cv import pivotal
-from common_cv.errors import DegenerateDenominatorError, DegenerateRateError, ValidationError
+from common_cv.errors import DegenerateDenominatorError, DegenerateRateError, NumericalError, ValidationError
 from common_cv.model import Alternative, Method, SampleSummary, Study, group_arrays
 from common_cv.pivotal import (
     _BLOCK,
@@ -846,6 +846,15 @@ class TestFrontDoor:
         assert intervals(surveys, (Method.VERRILL_JOHNSON,), 0.9, 1, seed=-5) == {
             Method.VERRILL_JOHNSON: vj_interval(surveys, 0.9)
         }
+
+    def test_pivotal_results_survive_a_vj_failure(self):
+        # sd^2 and mean^2 overflow, so the MLE behind vj has no float to search
+        study = Study(groups=(SampleSummary(5, 1e160, 1e159), SampleSummary(7, 2e160, 3e159)))
+        results = intervals(study, self.ALL, 0.95, 1000, seed=0)
+        assert isinstance(results[Method.VERRILL_JOHNSON], NumericalError)
+        assert {m: r for m, r in results.items() if m is not Method.VERRILL_JOHNSON} == intervals(
+            study, self.PIVOTAL, 0.95, 1000, seed=0
+        )
 
     def test_failed_method_maps_to_its_error(self, surveys, monkeypatch):
         clean = intervals(surveys, self.ALL, 0.95, 2000, seed=0)
