@@ -21,6 +21,7 @@ from .io import (
     write_summary_csv,
 )
 from .model import (
+    ALL_METHODS,
     Alternative,
     IntervalResult,
     Method,
@@ -46,7 +47,7 @@ from .pivotal import (
     tian_draw,
 )
 from .randgen import SeededStream
-from .simulate import ALL_METHODS, MethodPerformance, SimConfig, SimResult, run_grid, run_study
+from .simulate import MethodPerformance, SimConfig, SimResult, run_grid, run_study
 
 __version__ = "0.1.0"
 

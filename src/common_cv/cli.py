@@ -26,12 +26,12 @@ from .io import (
     read_raw_csv,
     read_summary_csv,
 )
-from .model import Alternative, Method, PIVOTAL_METHODS, Study
+from .model import ALL_METHODS, PIVOTAL_METHODS, Alternative, Method, Study
 from .pivotal import gpq_tests, intervals
 from .randgen import checked_seed
-from .simulate import ALL_METHODS, SimConfig, run_grid
+from .simulate import SimConfig, run_grid
 
-_METHOD_CHOICES = ["tian", "vj", "new", "combined", "all"]
+_METHOD_CHOICES = [method.value for method in Method] + ["all"]
 _DEFAULT_DRAWS = 5000
 
 
@@ -115,13 +115,9 @@ def _resolve_seed(args) -> int:
         raise errors.ValidationError(f"COMMON_CV_SEED must be an integer in [0, 2^64), got {env!r}") from None
 
 
-def _resolve_methods(name: str, testing: bool = False) -> tuple[Method, ...]:
-    if name == "all":
-        return PIVOTAL_METHODS if testing else ALL_METHODS
-    method = Method(name)
-    if testing and method not in PIVOTAL_METHODS:
-        raise errors.ValidationError("tests are only defined for the pivotal methods (tian, new, combined)")
-    return (method,)
+def _resolve_methods(args, every: tuple[Method, ...]) -> tuple[Method, ...]:
+    """The methods ``--method`` asks for, where "all" stands for ``every``."""
+    return every if args.method == "all" else (Method(args.method),)
 
 
 def _check_level(level: float):
@@ -211,7 +207,7 @@ def _cmd_ci(args) -> int:
     _check_level(args.level)
     study = _load_study(args)
     seed = _resolve_seed(args)
-    for iv in _in_order(intervals(study, _resolve_methods(args.method), args.level, args.draws, seed)):
+    for iv in _in_order(intervals(study, _resolve_methods(args, ALL_METHODS), args.level, args.draws, seed)):
         if args.json:
             print(json.dumps(_interval_record(iv)))
         else:
@@ -222,7 +218,7 @@ def _cmd_ci(args) -> int:
 def _cmd_test(args) -> int:
     study = _load_study(args)
     seed = _resolve_seed(args)
-    methods = _resolve_methods(args.method, testing=True)
+    methods = _resolve_methods(args, PIVOTAL_METHODS)
     for res in _in_order(gpq_tests(study, methods, args.null, args.alternative, args.draws, seed)):
         record = {
             "method": res.method.value,
@@ -246,7 +242,7 @@ def _cmd_test(args) -> int:
 def _cmd_simulate(args) -> int:
     _check_level(args.level)
     seed = _resolve_seed(args)
-    methods = _resolve_methods(args.method)
+    methods = _resolve_methods(args, ALL_METHODS)
     configs = [
         SimConfig(
             phi=phi, mus=mus, ns=ns, reps=args.reps, m=args.draws,

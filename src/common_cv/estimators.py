@@ -154,7 +154,8 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     with mixed signs the upper end is quadrupled until h < 0.  Raises
     NoConvergenceError if h stays positive up to |phi| = 1e6, and
     NumericalError before the search if a q_i is not finite and positive,
-    as when sd_i^2 or mean_i^2 leaves the float range.
+    as when sd_i^2 or mean_i^2 leaves the float range, and during it where
+    p is so much larger than a q_i that d_i rounds to -1.
 
     h is evaluated on plain floats: k is small, and a numpy call costs more
     than the arithmetic on a few groups.
@@ -183,13 +184,16 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
 
     same_qs = [q for _, q, same in groups if same]
     lo, hi = min(same_qs), max(same_qs)
-    h_lo, h_hi = h(lo), h(hi)
-    while h_hi > 0.0:
-        if hi >= _PHI_MAX**2:
-            raise NoConvergenceError(f"profile score stays positive up to |phi| = {_PHI_MAX:g}")
-        lo, h_lo, hi = hi, h_hi, 4.0 * hi
-        h_hi = h(hi)
-    p = _bracketed_root(h, lo, hi, h_lo, h_hi)
+    try:
+        h_lo, h_hi = h(lo), h(hi)
+        while h_hi > 0.0:
+            if hi >= _PHI_MAX**2:
+                raise NoConvergenceError(f"profile score stays positive up to |phi| = {_PHI_MAX:g}")
+            lo, h_lo, hi = hi, h_hi, 4.0 * hi
+            h_hi = h(hi)
+        p = _bracketed_root(h, lo, hi, h_lo, h_hi)
+    except ZeroDivisionError:  # a d_i rounds to -1 where p is above about 1e32 (1 + q_i)
+        raise NumericalError("the groups' (n-1) sd^2 / (n mean^2) lie too far apart") from None
     phi = sign * math.sqrt(p)
     sigmas = []
     for (_, q, same), mean in zip(groups, means.tolist()):

@@ -37,7 +37,9 @@ class Method(enum.Enum):
     COMBINED = "combined"
 
 
-#: Methods whose intervals come from Monte Carlo pivotal draws.
+#: Every method, in the enum's order.
+ALL_METHODS = tuple(Method)
+#: Methods whose intervals come from Monte Carlo pivotal draws; only they give a test.
 PIVOTAL_METHODS = (Method.TIAN, Method.NEW, Method.COMBINED)
 
 
@@ -79,6 +81,14 @@ class SampleSummary:
         return self.sd * self.sd
 
 
+def _iterated(items, what: str):
+    """iter(items), or ValidationError naming ``what`` if items is not iterable."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise ValidationError(f"{what} must be iterable, got {items!r}") from None
+
+
 def _checked_group(group, index: int) -> SampleSummary:
     """``group`` as a SampleSummary, checked as :class:`Study` describes;
     ``index`` is its 0-based place in the study."""
@@ -90,6 +100,11 @@ def _checked_group(group, index: int) -> SampleSummary:
         raise type(exc)(f"group {index}: {exc}") from None
 
 
+def _checked_groups(groups) -> tuple[SampleSummary, ...]:
+    """Each of ``groups`` checked by :func:`_checked_group`."""
+    return tuple(_checked_group(g, i) for i, g in enumerate(_iterated(groups, "a study's groups")))
+
+
 @dataclass(frozen=True)
 class Study:
     """Two or more groups assumed to share one coefficient of variation.
@@ -98,13 +113,14 @@ class Study:
     record, which is checked as :class:`SampleSummary` checks its fields.
     A ValidationError from a record is re-raised with the group's 0-based
     index prepended, anything that is not such a record raises
-    ValidationError, and fewer than two groups raise TooFewGroupsError.
+    ValidationError, as does a collection of groups that is not iterable,
+    and fewer than two groups raise TooFewGroupsError.
     """
 
     groups: tuple[SampleSummary, ...]
 
     def __post_init__(self):
-        groups = tuple(_checked_group(g, i) for i, g in enumerate(self.groups))
+        groups = _checked_groups(self.groups)
         object.__setattr__(self, "groups", groups)
         if len(groups) < 2:
             raise TooFewGroupsError(f"need at least 2 groups, got {len(groups)}")
@@ -139,9 +155,9 @@ class GroupArrays(NamedTuple):
 
 
 def group_arrays(study: Study | Sequence[SampleSummary]) -> GroupArrays:
-    """Array view of a Study, or of any sequence of groups (even a single
+    """Array view of a Study, or of any iterable of groups (even a single
     one), each checked as :class:`Study` checks it."""
-    groups = study.groups if isinstance(study, Study) else [_checked_group(g, i) for i, g in enumerate(study)]
+    groups = _checked_groups(study)
     ns = np.array([g.n for g in groups], dtype=float)
     means = np.array([g.mean for g in groups], dtype=float)
     sds = np.array([g.sd for g in groups], dtype=float)
@@ -219,9 +235,10 @@ def summarize(observations: Iterable[float], label: str = "") -> SampleSummary:
     """Reduce raw observations to a SampleSummary.
 
     Each observation must be a finite real number, as :func:`checked_real`
-    rules, or ValidationError names the group; a 1-D float64 array, as the
-    simulator passes, is checked as a whole.  Rejects groups with fewer
-    than two values, zero spread, or a mean smaller in magnitude than
+    rules, or ValidationError names the group, as it does when the
+    observations are not iterable; a 1-D float64 array, as the simulator
+    passes, is checked as a whole.  Rejects groups with fewer than two
+    values, zero spread, or a mean smaller in magnitude than
     1e-12 * max(1, max|x|), which would make the coefficient of variation
     meaningless.  Values whose sum or squared deviations overflow a float
     raise NumericalError.
@@ -231,6 +248,7 @@ def summarize(observations: Iterable[float], label: str = "") -> SampleSummary:
     if floats and np.isfinite(observations).all():
         values = observations.tolist()
     else:
+        observations = _iterated(observations, f"{name}: the observations")
         values = [checked_real(v, f"{name}: an observation") for v in observations]
     n = len(values)
     if n < 2:
@@ -250,6 +268,6 @@ def summarize(observations: Iterable[float], label: str = "") -> SampleSummary:
 
 
 def validate_study(groups: Sequence) -> Study:
-    """The Study of a sequence of groups, checked as :class:`Study` checks
+    """The Study of an iterable of groups, checked as :class:`Study` checks
     them."""
-    return Study(tuple(groups))
+    return Study(groups)

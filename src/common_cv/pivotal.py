@@ -320,6 +320,15 @@ class _Counts:
         return self.at_most, self.at_least
 
 
+def _check_pivotal(methods):
+    """ValidationError naming the first of ``methods`` that is not pivotal:
+    a Method by its value, anything else by its repr."""
+    for method in methods:
+        if method not in PIVOTAL_METHODS:
+            names = ", ".join(pivotal.value for pivotal in PIVOTAL_METHODS)
+            raise ValidationError(f"{getattr(method, 'value', repr(method))} is not a pivotal method ({names})")
+
+
 def _draw_args(m, seed):
     """(m, seed) as plain ints, or ValidationError."""
     m = checked_int(m, "the number of draws")
@@ -357,9 +366,7 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
     is raised here once every worker has joined.  The callers have
     checked (m, seed) with :func:`_draw_args`.
     """
-    for method in methods:
-        if method not in PIVOTAL_METHODS:
-            raise ValidationError(f"not a pivotal method: {method}")
+    _check_pivotal(methods)
     if not methods:
         return {}, {}
     groups = group_arrays(study)
@@ -546,8 +553,7 @@ def confidence_interval(study: Study, method: Method, level: float, m: int, seed
 
 def gpq_interval(study: Study, method: Method, level: float, m: int, seed: int) -> IntervalResult:
     """Equal-tailed Monte Carlo interval from m pivotal draws."""
-    if method is Method.VERRILL_JOHNSON:
-        raise ValidationError(f"not a pivotal method: {method}")
+    _check_pivotal((method,))
     return confidence_interval(study, method, level, m, seed)
 
 

@@ -129,14 +129,13 @@ class SeededStream:
     def chi_square(self, df, size=None):
         """Chi-square draws with ``df`` degrees of freedom (scalar or array).
 
-        Draws are strictly positive; df must be integral and >= 1.
+        Draws are strictly positive.  Each df must be a finite integer >= 1,
+        as an int or a float, or InvalidDfError is raised: a bool, a str,
+        an infinity or an empty df is none.
         """
         dfs = np.asarray(df)
-        if dfs.size == 0:
-            raise InvalidDfError("df must not be empty")
-        if not np.issubdtype(dfs.dtype, np.integer):
-            if not np.all(dfs == np.floor(dfs)):
-                raise InvalidDfError(f"df must be integral, got {df!r}")
-        if np.any(dfs < 1):
-            raise InvalidDfError(f"df must be >= 1, got {df!r}")
+        if dfs.dtype.kind not in "iuf" or dfs.size == 0 or not np.all(
+            (dfs >= 1) & (dfs < math.inf) & (dfs == np.floor(dfs))
+        ):
+            raise InvalidDfError(f"df must be finite integers >= 1, got {df!r}")
         return self._rng.chisquare(df, size)

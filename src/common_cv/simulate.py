@@ -12,7 +12,9 @@ individually reproducible and independent of execution order.
 A method failing on one replication (no likelihood maximum found,
 degenerate draw rate) is counted in ``failures`` and excluded from that
 method's denominator; it never aborts the study, and the pivotal methods
-fail one by one, so the others keep their results.
+fail one by one, so the others keep their results.  A replication whose
+data cannot be summarized (zero mean or spread, or a sum that overflows)
+fails every method.
 """
 
 from __future__ import annotations
@@ -20,15 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
-from .model import PIVOTAL_METHODS, IntervalResult, Method, Study, summarize
+from .errors import NumericalError, ValidationError
+from .model import ALL_METHODS, PIVOTAL_METHODS, IntervalResult, Method, Study, summarize
 # Only intervals is called here; perfbench/tracer.py wraps the other bindings.
 from .pivotal import _pivot_value_arrays, generate_draws, intervals, quantile, vj_interval  # noqa: F401
 from .pivotal import _draw_args
 from .randgen import ROLE_SIM_DATA, ROLE_SIM_PIVOTS, SeededStream, checked_int, checked_real, checked_seed
 from .randgen import mix_components
-
-ALL_METHODS = (Method.TIAN, Method.VERRILL_JOHNSON, Method.NEW, Method.COMBINED)
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ def run_study(config: SimConfig) -> SimResult:
     for r in range(config.reps):
         try:
             study = _simulate_study(config, root.substream(ROLE_SIM_DATA, 0, r))
-        except ValidationError:
-            # A degenerate dataset (zero mean/variance) fails every method.
+        except (ValidationError, NumericalError):
+            # Data that cannot be summarized (zero mean or spread, an overflowing sum) fail every method.
             found = dict.fromkeys(config.methods)
         else:
             pivot_seed = mix_components(config.master_seed, ROLE_SIM_PIVOTS, 0, r)

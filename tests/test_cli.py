@@ -310,10 +310,12 @@ class TestCi:
         assert "invalid input" in err
 
     # valid inputs that float arithmetic cannot reduce: raw values whose squares
-    # overflow, and an sd whose square underflows in the vj MLE (tian prints first)
+    # overflow, and an sd whose square underflows in the vj MLE (tian prints first),
+    # or is so large that the MLE's search leaves the floats
     @pytest.mark.parametrize("content, summary, lines_before", [
         pytest.param("group,value\na,1e200\na,3e200\nb,1\nb,2\n", (), 0, id="raw"),
         pytest.param("group,n,mean,sd\na,5,1,1e-170\nb,7,2,0.4\n", ("--summary",), 1, id="summary"),
+        pytest.param("group,n,mean,sd\na,5,1,1e50\nb,7,2,0.4\n", ("--summary",), 1, id="summary CV 1e50"),
     ])
     def test_beyond_float_range_is_numerical_failure(self, capsys, tmp_path, content, summary, lines_before):
         path = tmp_path / "extreme.csv"
@@ -360,6 +362,7 @@ class TestTest:
         )
         assert code == 1
         assert "pivotal" in err
+        assert err == "common-cv: invalid input: vj is not a pivotal method (tian, new, combined)\n"
 
     def test_json_p_values_in_range(self, capsys):
         code, out, _ = run(

@@ -18,7 +18,7 @@ from common_cv.estimators import (
     score_and_hessian,
     vj_interval,
 )
-from common_cv.model import Method, ParameterVector, SampleSummary, Study, summarize
+from common_cv.model import Method, ParameterVector, SampleSummary, Study, group_arrays, summarize
 from oracles.mle_profile import loglik, profile_sigmas
 
 
@@ -49,6 +49,8 @@ PROFILE_ROOTS_60 = {
     "hospital": "0.601484747623201608855722385023754665228185920914477706839432",
     "pair": "0.312202885655139313208333602708282589930747073382658188371891",
 }
+# newton_mle's message when a q_i is not a finite positive float
+NOT_FINITE_Q = "not a finite positive float"
 
 
 class TestGroupCvs:
@@ -72,6 +74,12 @@ class TestGroupCvs:
     def test_bad_record_names_index(self, record):
         with pytest.raises(ValidationError, match="^group 1: "):
             group_cvs([(5, 1.0, 0.2), record])
+
+    @pytest.mark.parametrize("view", [group_arrays, group_cvs])
+    @pytest.mark.parametrize("groups", [5, None, 1.5], ids=repr)
+    def test_groups_not_iterable(self, view, groups):
+        with pytest.raises(ValidationError, match="groups must be iterable"):
+            view(groups)
 
 
 class TestPooledEstimates:
@@ -356,13 +364,18 @@ class TestNewtonMle:
 
     # Valid studies whose (n_i-1) sd_i^2 / (n_i mean_i^2) leaves the float range:
     # sd^2 and mean^2 overflow (q is NaN), mean^2 underflows, and q underflows.
-    @pytest.mark.parametrize("ns, means, sds", [
-        pytest.param([5, 7], [1e160, 2e160], [1e159, 3e159], id="squares overflow"),
-        pytest.param([5, 7], [1e-170, 2e-170], [1e-170, 3e-170], id="mean squared underflows"),
-        pytest.param([5, 7], [1.0, 2.0], [1e-170, 0.4], id="q underflows"),
+    # Then finite q_i so far apart that, at a p near the largest, the other
+    # group's d_i rounds to -1 in h.
+    @pytest.mark.parametrize("ns, means, sds, message", [
+        pytest.param([5, 7], [1e160, 2e160], [1e159, 3e159], NOT_FINITE_Q, id="squares overflow"),
+        pytest.param([5, 7], [1e-170, 2e-170], [1e-170, 3e-170], NOT_FINITE_Q, id="mean squared underflows"),
+        pytest.param([5, 7], [1.0, 2.0], [1e-170, 0.4], NOT_FINITE_Q, id="q underflows"),
+        *(pytest.param([5, 7], [1.0, 2.0], [sd, 0.4], "too far apart", id=f"group CV {sd:g}")
+          for sd in (1e30, 1e50, 1e100, 1e150)),
+        pytest.param([5, 7], [1.0, 2.0], [1e50, 1e20], "too far apart", id="group CVs 1e50 and 5e19"),
     ])
-    def test_scale_outside_float_range_is_numerical_error(self, ns, means, sds):
-        with pytest.raises(NumericalError, match="not a finite positive float"):
+    def test_scale_outside_float_range_is_numerical_error(self, ns, means, sds, message):
+        with pytest.raises(NumericalError, match=message):
             newton_mle(study_of(ns, means, sds))
 
     def test_mixed_sign_means_without_a_maximum(self):

@@ -30,6 +30,8 @@ from common_cv.model import (
 NOT_REAL = ("0.95", None, 1j, True)
 # Groups that are neither a SampleSummary nor an (n, mean, sd[, label]) record.
 NOT_RECORDS = [(5, 1.0), (5, 1.0, 0.2, "a", "b"), 5, None]
+# Collections of groups, or of observations, that are not iterable.
+NOT_ITERABLE = [5, None, 1.5, np.float64(2.0), np.array(3.0)]
 
 
 class TestSummarize:
@@ -114,6 +116,11 @@ class TestSummarize:
         with pytest.raises(NumericalError, match="group g7"):
             summarize(values, label="g7")
 
+    @pytest.mark.parametrize("values", NOT_ITERABLE, ids=repr)
+    def test_not_iterable(self, values):
+        with pytest.raises(ValidationError, match="^group g7: the observations must be iterable"):
+            summarize(values, label="g7")
+
 
 class TestSampleSummary:
     def test_cv_and_variance(self):
@@ -185,6 +192,15 @@ class TestStudy:
         with pytest.raises(exc, match="^group 1: "):
             Study(groups=((5, 1.0, 0.2), record))
 
+    @pytest.mark.parametrize("groups", NOT_ITERABLE, ids=repr)
+    def test_groups_not_iterable(self, groups):
+        with pytest.raises(ValidationError, match="groups must be iterable"):
+            Study(groups=groups)
+
+    def test_any_iterable_of_groups(self):
+        groups = ((5, 1.0, 0.2), (7, 2.0, 0.4))
+        assert Study(groups=iter(groups)) == Study(groups=list(groups)) == Study(groups=groups)
+
 
 class TestValidateStudy:
     def test_two_valid_groups(self):
@@ -207,6 +223,11 @@ class TestValidateStudy:
     def test_not_a_record_names_index(self, record):
         with pytest.raises(ValidationError, match="^group 1: not an"):
             validate_study([(5, 1.0, 0.2), record])
+
+    @pytest.mark.parametrize("groups", NOT_ITERABLE, ids=repr)
+    def test_groups_not_iterable(self, groups):
+        with pytest.raises(ValidationError, match="groups must be iterable"):
+            validate_study(groups)
 
     @pytest.mark.parametrize("field", [1, 2])
     @pytest.mark.parametrize("value", NOT_REAL)

@@ -848,13 +848,15 @@ class TestFrontDoor:
         }
 
     def test_pivotal_results_survive_a_vj_failure(self):
-        # sd^2 and mean^2 overflow, so the MLE behind vj has no float to search
-        study = Study(groups=(SampleSummary(5, 1e160, 1e159), SampleSummary(7, 2e160, 3e159)))
-        results = intervals(study, self.ALL, 0.95, 1000, seed=0)
-        assert isinstance(results[Method.VERRILL_JOHNSON], NumericalError)
-        assert {m: r for m, r in results.items() if m is not Method.VERRILL_JOHNSON} == intervals(
-            study, self.PIVOTAL, 0.95, 1000, seed=0
-        )
+        # sd^2 and mean^2 overflow, so the MLE behind vj has no float to search;
+        # group CVs of 1e50 and 0.2 put the MLE's search where one d_i rounds to -1
+        for groups in [((5, 1e160, 1e159), (7, 2e160, 3e159)), ((5, 1.0, 1e50), (7, 2.0, 0.4))]:
+            study = Study(groups=groups)
+            results = intervals(study, self.ALL, 0.95, 1000, seed=0)
+            assert isinstance(results[Method.VERRILL_JOHNSON], NumericalError)
+            assert {m: r for m, r in results.items() if m is not Method.VERRILL_JOHNSON} == intervals(
+                study, self.PIVOTAL, 0.95, 1000, seed=0
+            )
 
     def test_failed_method_maps_to_its_error(self, surveys, monkeypatch):
         clean = intervals(surveys, self.ALL, 0.95, 2000, seed=0)
@@ -892,6 +894,20 @@ class TestFrontDoor:
             gpq_tests(surveys, self.ALL, 0.04, Alternative.LESS, 1000, seed=0)
         with pytest.raises(ValidationError):
             gpq_interval(surveys, Method.VERRILL_JOHNSON, 0.95, 1000, seed=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda study: gpq_tests(study, TestFrontDoor.ALL, 0.04, Alternative.LESS, 1000, seed=0),
+        lambda study: gpq_test(study, Method.VERRILL_JOHNSON, 0.04, Alternative.LESS, 1000, seed=0),
+        lambda study: gpq_interval(study, Method.VERRILL_JOHNSON, 0.95, 1000, seed=0),
+        lambda study: generate_draws(study, Method.VERRILL_JOHNSON, 1000, seed=0),
+    ], ids=["gpq_tests", "gpq_test", "gpq_interval", "generate_draws"])
+    def test_one_message_for_a_non_pivotal_method(self, surveys, call):
+        with pytest.raises(ValidationError, match=r"^vj is not a pivotal method \(tian, new, combined\)$"):
+            call(surveys)
+
+    def test_non_method_named_by_repr(self, surveys):
+        with pytest.raises(ValidationError, match=r"^'tian' is not a pivotal method"):
+            intervals(surveys, ("tian",), 0.95, 1000, seed=0)
 
 
 def test_pivotal_draws_value_object(surveys):

@@ -63,7 +63,7 @@ class TestChiSquare:
         d = stats.kstest(draws, stats.chi2(df).cdf).statistic
         assert d < KS_CRIT
 
-    @pytest.mark.parametrize("df", [0, -1, 2.5])
+    @pytest.mark.parametrize("df", [0, -1, 2.5, math.inf, True, "4", [3, math.inf]])
     def test_invalid_df(self, df):
         with pytest.raises(InvalidDfError):
             SeededStream(1).chi_square(df, 10)

@@ -151,6 +151,21 @@ class TestRunStudy:
             lengths.append(run_study(cfg).performance[Method.TIAN].avg_length)
         assert lengths[0] > lengths[1] > lengths[2]
 
+    def test_overflowing_replications_fail_alone(self):
+        # 10 of the 200 datasets have a sum of squared deviations that overflows
+        res = run_study(SimConfig(phi=1.0, mus=(3e153,) * 3, ns=(10, 10, 10), reps=200, m=100))
+        assert res.error is None
+        assert [res.performance[m].failures for m in (Method.TIAN, Method.NEW, Method.COMBINED)] == [10] * 3
+        assert res.performance[Method.VERRILL_JOHNSON].failures >= 10
+
+    def test_every_replication_overflowing(self):
+        # reads as an all-degenerate cell: every replication failed, coverage nan
+        res = run_grid([SimConfig(phi=1.0, mus=(1e300,) * 3, ns=(10, 10, 10), reps=5, m=100)])[0]
+        assert res.error is None
+        for perf in res.performance.values():
+            assert perf.failures == 5
+            assert math.isnan(perf.coverage) and math.isnan(perf.avg_length)
+
     def test_coverage_sanity_at_moderate_scale(self):
         cfg = config(phi=0.05, mus=(1.0, 1.0, 1.0), ns=(30, 30, 30),
                      reps=200, m=500, methods=(Method.COMBINED,))
