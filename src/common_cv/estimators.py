@@ -27,6 +27,7 @@ from .model import IntervalResult, Method, ParameterVector, SampleSummary, Study
 from .randgen import checked_real
 
 _PHI_MAX = 1e6  # largest |phi| searched for the MLE
+_Q_MAX = 2.0**510  # largest q_i searched: with p and every q_i at most 2^510, no product in h or sigma overflows
 
 
 def group_cvs(study: Study | Sequence[SampleSummary]) -> np.ndarray:
@@ -147,15 +148,16 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     the bracket to adjacent floats (:func:`_bracketed_root`); phi takes the
     sign of :func:`new_estimate`.
 
-    A group whose mean has phi's sign contributes n_i*d_i/(1 + d_i), with
-    d_i = u_i - 1 written free of cancellation; it has the sign of q_i - p.
+    A group whose mean has phi's sign contributes
+    n_i*2*(q_i - p)/(1 + 2*q_i + R_i), with R_i = sqrt(1 + 4*p*(1 + q_i)):
+    one division, free of cancellation, with the exact sign of q_i - p.
     A group of the other sign contributes a positive term.  So the root
     lies in [min q_i, max q_i] over the groups of phi's sign, except that
     with mixed signs the upper end is quadrupled until h < 0.  Raises
-    NoConvergenceError if h stays positive up to |phi| = 1e6, and
-    NumericalError before the search if a q_i is not finite and positive,
-    as when sd_i^2 or mean_i^2 leaves the float range, and during it where
-    p is so much larger than a q_i that d_i rounds to -1.
+    NumericalError before the search if a q_i is not a positive float of
+    at most 2^510, as when sd_i^2 or mean_i^2 leaves the float range, and
+    NoConvergenceError, only with mixed signs, if h stays positive up to
+    |phi| = 1e6.
 
     h is evaluated on plain floats: k is small, and a numpy call costs more
     than the arithmetic on a few groups.
@@ -167,38 +169,30 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
         (n, (n - 1.0) * (sd * sd) / (n * (mean * mean)) if mean * mean else math.nan, sign * mean > 0.0)
         for n, mean, sd in zip(ns.tolist(), means.tolist(), sds.tolist())
     ]
-    if not all(0.0 < q < math.inf for _, q, _ in groups):
-        raise NumericalError("a group's (n-1) sd^2 / (n mean^2) is not a finite positive float")
-
-    def parts(p: float, q: float) -> tuple[float, float]:
-        root_s = math.sqrt(1.0 + 4.0 * p * (1.0 + q))
-        d = 4.0 * (q - p) * (1.0 + q) / ((1.0 + root_s) * (1.0 + 2.0 * q + root_s))
-        return d, root_s
+    if not all(0.0 < q <= _Q_MAX for _, q, _ in groups):
+        raise NumericalError("a group's (n-1) sd^2 / (n mean^2) is not a finite positive float <= 2^510")
 
     def h(p: float) -> float:
         total = 0.0
         for n, q, same in groups:
-            d, root_s = parts(p, q)
-            total += n * (d / (1.0 + d) if same else (1.0 + 2.0 * q + root_s) / (2.0 * (1.0 + q)))
+            s = 1.0 + 2.0 * q + math.sqrt(1.0 + 4.0 * p * (1.0 + q))
+            total += n * (2.0 * (q - p) / s if same else s / (2.0 * (1.0 + q)))
         return total
 
     same_qs = [q for _, q, same in groups if same]
     lo, hi = min(same_qs), max(same_qs)
-    try:
-        h_lo, h_hi = h(lo), h(hi)
-        while h_hi > 0.0:
-            if hi >= _PHI_MAX**2:
-                raise NoConvergenceError(f"profile score stays positive up to |phi| = {_PHI_MAX:g}")
-            lo, h_lo, hi = hi, h_hi, 4.0 * hi
-            h_hi = h(hi)
-        p = _bracketed_root(h, lo, hi, h_lo, h_hi)
-    except ZeroDivisionError:  # a d_i rounds to -1 where p is above about 1e32 (1 + q_i)
-        raise NumericalError("the groups' (n-1) sd^2 / (n mean^2) lie too far apart") from None
+    h_lo, h_hi = h(lo), h(hi)
+    while h_hi > 0.0:
+        if hi >= _PHI_MAX**2:
+            raise NoConvergenceError(f"profile score stays positive up to |phi| = {_PHI_MAX:g}")
+        lo, h_lo, hi = hi, h_hi, 4.0 * hi
+        h_hi = h(hi)
+    p = _bracketed_root(h, lo, hi, h_lo, h_hi)
     phi = sign * math.sqrt(p)
     sigmas = []
     for (_, q, same), mean in zip(groups, means.tolist()):
-        d, root_s = parts(p, q)
-        u = 1.0 + d if same else -(1.0 + root_s) / (2.0 * p)
+        r = math.sqrt(1.0 + 4.0 * p * (1.0 + q))
+        u = 1.0 + 4.0 * (q - p) * (1.0 + q) / ((1.0 + r) * (1.0 + 2.0 * q + r)) if same else -(1.0 + r) / (2.0 * p)
         sigmas.append(phi * mean * u)
     return ParameterVector(phi=phi, sigmas=tuple(sigmas))
 

@@ -145,8 +145,8 @@ def write_summary_csv(study: Study, dest) -> None:
     with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
-        for i, g in enumerate(study.groups):
-            writer.writerow([g.label or f"group{i + 1}", g.n, repr(g.mean), repr(g.sd)])
+        for label, g in zip(study.labels, study.groups):
+            writer.writerow([label, g.n, repr(g.mean), repr(g.sd)])
 
 
 def _bundled(name: str) -> str:

@@ -3,9 +3,11 @@
 For fixed phi the likelihood is maximized by sigma_i = phi*mean_i*u_i, with
 u_i the root of p*u^2 + u = 1 + q_i of the sign of phi*mean_i (p = phi^2,
 q_i = (n_i-1)*sd_i^2/(n_i*mean_i^2)).  The MLE is the root of
-h(p) = sum_i n_i*(1 - 1/u_i), found here by bisection in mpmath at 60
-significant digits over [min q_i, max q_i], with the study values exactly as
-the package holds them in floats.  Needs mpmath, which the tests do not.
+h(p) = sum_i n_i*(1 - 1/u_i), found here by bisection on log p in mpmath at
+70 digits over [min q_i, max q_i], with the study values exactly as the
+package holds them in floats.  Bisecting on log p takes a bracket that spans
+hundreds of orders of magnitude to 60 digits in 1200 steps.  Needs mpmath,
+which the tests do not.
 Run: PYTHONPATH=src python3 tests/oracles/mle_roots_60.py
 """
 import mpmath as mp
@@ -29,23 +31,28 @@ def profile_root(groups):
             total += n * (1 - 1 / u)
         return total
 
-    lo, hi = min(qs), max(qs)
-    h_lo = h(lo)
-    for _ in range(400):
+    lo, hi = mp.log(min(qs)), mp.log(max(qs))
+    h_lo = h(mp.exp(lo))
+    for _ in range(1200):
         mid = (lo + hi) / 2
-        h_mid = h(mid)
+        h_mid = h(mp.exp(mid))
         if (h_mid > 0) == (h_lo > 0):
             lo, h_lo = mid, h_mid
         else:
             hi = mid
-    return sign * mp.sqrt((lo + hi) / 2)
+    return sign * mp.sqrt(mp.exp((lo + hi) / 2))
 
 
 if __name__ == "__main__":
-    pair = [SampleSummary(n=5, mean=2.0, sd=1.0), SampleSummary(n=7, mean=3.0, sd=0.6)]
+    def study(*rows):
+        return [SampleSummary(n=n, mean=mean, sd=sd) for n, mean, sd in rows]
+
     for name, groups in [
         ("surveys", load_mcv_surveys().groups),
         ("hospital", load_hospital_survival().groups),
-        ("pair", pair),
+        ("pair", study((5, 2.0, 1.0), (7, 3.0, 0.6))),
+        *((f"sd {sd} beside 0.4", study((5, 1.0, float(sd)), (7, 2.0, 0.4))) for sd in ("1e16", "1e17", "1e30", "1e50")),
+        ("sd 1e50 beside 1e20", study((5, 1.0, 1e50), (7, 2.0, 1e20))),
+        ("sd 1e76 beside 1e77", study((5, 1.0, 1e76), (7, 2.0, 1e77))),
     ]:
         print(f'"{name}": "{mp.nstr(profile_root(groups), 60)}",')

@@ -7,6 +7,7 @@ work; no subprocesses.
 import csv
 import io
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -311,11 +312,11 @@ class TestCi:
 
     # valid inputs that float arithmetic cannot reduce: raw values whose squares
     # overflow, and an sd whose square underflows in the vj MLE (tian prints first),
-    # or is so large that the MLE's search leaves the floats
+    # or CVs so large that (n-1) sd^2 / (n mean^2) passes the MLE's bound 2^510
     @pytest.mark.parametrize("content, summary, lines_before", [
         pytest.param("group,value\na,1e200\na,3e200\nb,1\nb,2\n", (), 0, id="raw"),
         pytest.param("group,n,mean,sd\na,5,1,1e-170\nb,7,2,0.4\n", ("--summary",), 1, id="summary"),
-        pytest.param("group,n,mean,sd\na,5,1,1e50\nb,7,2,0.4\n", ("--summary",), 1, id="summary CV 1e50"),
+        pytest.param("group,n,mean,sd\na,5,1,1e100\nb,7,1,1.1e100\n", ("--summary",), 1, id="summary CVs 1e100"),
     ])
     def test_beyond_float_range_is_numerical_failure(self, capsys, tmp_path, content, summary, lines_before):
         path = tmp_path / "extreme.csv"
@@ -324,6 +325,15 @@ class TestCi:
         assert code == 2
         assert err.startswith("common-cv: numerical failure: ") and "Traceback" not in err
         assert len(out.splitlines()) == lines_before
+
+    def test_huge_group_cv_is_estimated(self, capsys, tmp_path):
+        # a group CV of 1e50 beside 0.4: q_i = 8e99 is inside the MLE's bound
+        path = tmp_path / "huge.csv"
+        path.write_text("group,n,mean,sd\na,5,1,1e50\nb,7,2,0.4\n")
+        code, out, err = run(capsys, "ci", "--input", str(path), "--summary", "--draws", "500")
+        assert (code, err) == (0, "")
+        methods = [line.split()[0] for line in out.splitlines()]
+        assert methods == ["method=tian", "method=vj", "method=new", "method=combined"]
 
     def test_too_few_draws(self, capsys):
         code, _, err = run(
@@ -559,3 +569,77 @@ class TestExamples:
         for rec in records:
             assert {"dataset", "groups", "mle", "intervals"} <= set(rec)
             assert len(rec["intervals"]) == 4
+
+
+SURVEY = ("--input", SURVEYS_PATH, "--summary")
+FIXED = r"-?\d+\.\d{6}"  # a float printed with 6 decimals
+REPR = r"-?\d+\.\d+(e[-+]\d+)?"  # a float printed by repr
+INTERVAL_KEYS = ["method", "level", "lower", "upper", "length", "draws", "seed"]
+ESTIMATE_KEYS = [
+    "groups", *(f"groups.{key}" for key in ("group", "n", "mean", "sd", "cv")),
+    "feltz_miller", "new", "mle", "mle_sigmas",
+]
+
+
+def key_paths(record, prefix=""):
+    """A JSON record's keys in order; a list of records gives its first record's keys as list.key."""
+    for key, value in record.items():
+        yield prefix + key
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            yield from key_paths(value[0], f"{prefix}{key}.")
+
+
+def interval_line(method, draws, seed):
+    return rf"method={method:<9} level=0\.95 draws={draws} seed={seed} lower={FIXED} upper={FIXED} length={FIXED}"
+
+
+def p_value_line(method):
+    return rf"method={method:<9} null=0\.04 alternative=two-sided draws=300 seed=0 p_value={FIXED}"
+
+
+def sim_row(method, draws):
+    return rf"0\.3,1\.0,2\.0,10,10,2,{draws},0\.95,0,{method},{REPR},{REPR},\d+,"
+
+
+class TestOutputLayout:
+    """Every record's layout: the JSON key order, the key= order and number
+    formats of text lines, and the simulate CSV header and columns.  A JSON
+    layout is a list of key paths per line; a text layout is one regex per line."""
+
+    @pytest.mark.parametrize("argv, layout", [
+        pytest.param(("ci", *SURVEY, "--draws", "300", "--json"), [INTERVAL_KEYS] * 4, id="ci json"),
+        pytest.param(("ci", *SURVEY, "--draws", "300"), [
+            interval_line("tian", 300, 0), interval_line("vj", 0, "-"),
+            interval_line("new", 300, 0), interval_line("combined", 300, 0),
+        ], id="ci text"),
+        pytest.param(
+            ("test", *SURVEY, "--draws", "300", "--null", "0.04", "--json"),
+            [["method", "null", "alternative", "p_value", "draws", "seed"]] * 3, id="test json",
+        ),
+        pytest.param(
+            ("test", *SURVEY, "--draws", "300", "--null", "0.04"),
+            [p_value_line("tian"), p_value_line("new"), p_value_line("combined")], id="test text",
+        ),
+        pytest.param(("estimate", *SURVEY, "--json"), [ESTIMATE_KEYS], id="estimate json"),
+        pytest.param(
+            ("examples", "--draws", "300", "--json"),
+            [["dataset", *ESTIMATE_KEYS, "intervals", *(f"intervals.{key}" for key in INTERVAL_KEYS)]] * 2,
+            id="examples json",
+        ),
+        # "<grid>" stands for the path of a one-cell grid file
+        pytest.param(("simulate", "--config", "<grid>", "--reps", "2", "--draws", "200"), [
+            re.escape("phi,mu1,mu2,n1,n2,reps,draws,level,seed,method,coverage,avg_length,failures,error"),
+            sim_row("tian", 200), sim_row("vj", 200), sim_row("new", 200), sim_row("combined", 200),
+        ], id="simulate csv"),
+    ])
+    def test_record_layout(self, capsys, tmp_path, argv, layout):
+        argv = [write_grid(tmp_path) if arg == "<grid>" else arg for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        if isinstance(layout[0], list):
+            assert [list(key_paths(json.loads(line))) for line in lines] == layout
+        else:
+            assert len(lines) == len(layout)
+            for line, pattern in zip(lines, layout):
+                assert re.fullmatch(pattern, line), line

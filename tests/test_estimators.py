@@ -42,15 +42,29 @@ HOSPITAL_MLE = (0.60148473, (91.065665, 47.14074, 25.305681, 91.536011), -124.04
 PAIR_MLE = (0.31220289, (0.677612, 0.886868), -14.24094546)
 WIDE_MLE = (0.45376740, (2.4871, 11.197559), -60.67504775)
 CV3_MLE = (0.97296113, (2.395415, 0.610457), -16.08943342)
+# the studies of PROFILE_ROOTS_60 other than the bundled ones: a pair, and
+# one huge group CV beside an ordinary or a large one, every q_i <= 2^510
+ROOT_STUDIES = {
+    "pair": [(5, 2.0, 1.0), (7, 3.0, 0.6)],
+    **{f"sd {sd} beside 0.4": [(5, 1.0, float(sd)), (7, 2.0, 0.4)] for sd in ("1e16", "1e17", "1e30", "1e50")},
+    "sd 1e50 beside 1e20": [(5, 1.0, 1e50), (7, 2.0, 1e20)],
+    "sd 1e76 beside 1e77": [(5, 1.0, 1e76), (7, 2.0, 1e77)],
+}
 # roots of the profile score to 60 digits, printed by
-# tests/oracles/mle_roots_60.py (mpmath bisection at 70 digits)
+# tests/oracles/mle_roots_60.py (mpmath bisection on log p at 70 digits)
 PROFILE_ROOTS_60 = {
     "surveys": "0.0369785182483431035918673173694512585928290637372702232324898",
     "hospital": "0.601484747623201608855722385023754665228185920914477706839432",
     "pair": "0.312202885655139313208333602708282589930747073382658188371891",
+    "sd 1e16 beside 0.4": "1.15119408155665849666699552110108709125034326185228380609192",
+    "sd 1e17 beside 0.4": "1.15119408155665858816650601147513171969174346498524879484468",
+    "sd 1e30 beside 0.4": "1.15119408155665859833311828818234257431491641080151839708024",
+    "sd 1e50 beside 0.4": "1.1511940815566585983331182881833592355425872335362265168487",
+    "sd 1e50 beside 1e20": "79356008551932982419.9914379928849086194336890356582941233835",
+    "sd 1e76 beside 1e77": "1.68958333649850444972240119554884383521369057428213343917486e+76",
 }
-# newton_mle's message when a q_i is not a finite positive float
-NOT_FINITE_Q = "not a finite positive float"
+# newton_mle's message when a q_i is not a finite positive float <= 2^510
+NOT_FINITE_Q = r"not a finite positive float <= 2\^510"
 
 
 class TestGroupCvs:
@@ -234,10 +248,7 @@ class TestNewtonMle:
 
     @pytest.mark.parametrize("name", sorted(PROFILE_ROOTS_60))
     def test_within_4_ulp_of_60_digit_root(self, request, name):
-        if name == "pair":
-            study = study_of([5, 7], [2.0, 3.0], [1.0, 0.6])
-        else:
-            study = request.getfixturevalue(name)
+        study = Study(groups=ROOT_STUDIES[name]) if name in ROOT_STUDIES else request.getfixturevalue(name)
         phi = newton_mle(study).phi
         # Decimal holds the float exactly, so the error is exact too
         error = abs(Decimal(phi) - Decimal(PROFILE_ROOTS_60[name]))
@@ -364,18 +375,18 @@ class TestNewtonMle:
 
     # Valid studies whose (n_i-1) sd_i^2 / (n_i mean_i^2) leaves the float range:
     # sd^2 and mean^2 overflow (q is NaN), mean^2 underflows, and q underflows.
-    # Then finite q_i so far apart that, at a p near the largest, the other
-    # group's d_i rounds to -1 in h.
-    @pytest.mark.parametrize("ns, means, sds, message", [
-        pytest.param([5, 7], [1e160, 2e160], [1e159, 3e159], NOT_FINITE_Q, id="squares overflow"),
-        pytest.param([5, 7], [1e-170, 2e-170], [1e-170, 3e-170], NOT_FINITE_Q, id="mean squared underflows"),
-        pytest.param([5, 7], [1.0, 2.0], [1e-170, 0.4], NOT_FINITE_Q, id="q underflows"),
-        *(pytest.param([5, 7], [1.0, 2.0], [sd, 0.4], "too far apart", id=f"group CV {sd:g}")
-          for sd in (1e30, 1e50, 1e100, 1e150)),
-        pytest.param([5, 7], [1.0, 2.0], [1e50, 1e20], "too far apart", id="group CVs 1e50 and 5e19"),
+    # Then finite q_i above 2^510 (about 3.4e153), where h or a sigma could
+    # overflow: one huge group CV, two of them, and a max q_i of 8e153.
+    @pytest.mark.parametrize("ns, means, sds", [
+        pytest.param([5, 7], [1e160, 2e160], [1e159, 3e159], id="squares overflow"),
+        pytest.param([5, 7], [1e-170, 2e-170], [1e-170, 3e-170], id="mean squared underflows"),
+        pytest.param([5, 7], [1.0, 2.0], [1e-170, 0.4], id="q underflows"),
+        *(pytest.param([5, 7], [1.0, 2.0], [sd, 0.4], id=f"group CV {sd:g}") for sd in (1e100, 1e150)),
+        pytest.param([5, 7], [1.0, 1.0], [1e100, 1.1e100], id="group CVs 1e100 and 1.1e100"),
+        pytest.param([5, 7], [1.0, 2.0], [1e77, 2e77], id="group CVs 1e77 and 1e77"),
     ])
-    def test_scale_outside_float_range_is_numerical_error(self, ns, means, sds, message):
-        with pytest.raises(NumericalError, match=message):
+    def test_scale_outside_float_range_is_numerical_error(self, ns, means, sds):
+        with pytest.raises(NumericalError, match=NOT_FINITE_Q):
             newton_mle(study_of(ns, means, sds))
 
     def test_mixed_sign_means_without_a_maximum(self):

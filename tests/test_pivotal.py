@@ -849,8 +849,8 @@ class TestFrontDoor:
 
     def test_pivotal_results_survive_a_vj_failure(self):
         # sd^2 and mean^2 overflow, so the MLE behind vj has no float to search;
-        # group CVs of 1e50 and 0.2 put the MLE's search where one d_i rounds to -1
-        for groups in [((5, 1e160, 1e159), (7, 2e160, 3e159)), ((5, 1.0, 1e50), (7, 2.0, 0.4))]:
+        # group CVs of 1e100 and 1.1e100 give finite q_i above the MLE's bound 2^510
+        for groups in [((5, 1e160, 1e159), (7, 2e160, 3e159)), ((5, 1.0, 1e100), (7, 1.0, 1.1e100))]:
             study = Study(groups=groups)
             results = intervals(study, self.ALL, 0.95, 1000, seed=0)
             assert isinstance(results[Method.VERRILL_JOHNSON], NumericalError)
