@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, NoConvergenceError, NumericalError
+from .errors import DegenerateDenominatorError, NoConvergenceError, NumericalError, ValidationError
 from .model import IntervalResult, Method, ParameterVector, SampleSummary, Study, group_arrays
 from .randgen import checked_real
 
@@ -55,16 +55,25 @@ def new_estimate(study: Study | Sequence[SampleSummary]) -> float:
     return float(np.sum(ns)) / denom
 
 
-def _theta_arrays(theta: ParameterVector | tuple) -> tuple[float, np.ndarray]:
-    if isinstance(theta, ParameterVector):
-        return theta.phi, np.asarray(theta.sigmas, dtype=float)
-    phi, sigmas = theta
-    return float(phi), np.asarray(sigmas, dtype=float)
+def _theta_arrays(theta: ParameterVector | tuple, k: int) -> tuple[float, np.ndarray]:
+    """(phi, sigmas as an array) of a ParameterVector or a (phi, sigmas)
+    pair, checked by ParameterVector, with one sigma for each of k groups."""
+    theta = theta if isinstance(theta, ParameterVector) else ParameterVector(*theta)
+    if len(theta.sigmas) != k:
+        raise ValidationError(f"need one sigma per group ({k}), got {len(theta.sigmas)}")
+    return theta.phi, np.asarray(theta.sigmas, dtype=float)
 
 
 def log_likelihood(study: Study | Sequence[SampleSummary], theta: ParameterVector | tuple) -> float:
-    phi, sig = _theta_arrays(theta)
+    """Log likelihood of the study at theta, a ParameterVector or a
+    (phi, sigmas) pair.
+
+    A pair is checked as :class:`ParameterVector` checks its fields, so a
+    zero or non-finite phi and a sigma that is not a finite positive real
+    raise ValidationError; so does a sigma count other than the study's k.
+    """
     ns, means, sds, _ = group_arrays(study)
+    phi, sig = _theta_arrays(theta, len(ns))
     constant = 0.5 * float(ns.sum()) * math.log(2.0 * math.pi)
     resid = means - sig / phi
     ss = (ns - 1.0) * sds**2 + ns * resid * resid
@@ -77,11 +86,12 @@ def score_and_hessian(
     """Analytic gradient and Hessian of the log likelihood at theta.
 
     Ordering is (phi, sigma_1..sigma_k).  The sigma block of the Hessian is
-    diagonal because groups only interact through phi.
+    diagonal because groups only interact through phi.  theta is checked
+    as :func:`log_likelihood` checks it.
     """
-    phi, sig = _theta_arrays(theta)
     ns, means, sds, _ = group_arrays(study)
     k = len(ns)
+    phi, sig = _theta_arrays(theta, k)
     resid = means - sig / phi  # d(resid)/d(phi) = sig/phi^2, d/d(sigma_i) = -1/phi
     ss = (ns - 1.0) * sds**2 + ns * resid**2
 
@@ -197,16 +207,16 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     return ParameterVector(phi=phi, sigmas=tuple(sigmas))
 
 
-def vj_interval(study: Study, level: float) -> IntervalResult:
+def vj_interval(study: Study | Sequence[SampleSummary], level: float) -> IntervalResult:
     """Asymptotic (Wald) interval around the maximum likelihood CV.
 
     phi_hat +/- z_{alpha/2} * sqrt((phi_hat^4 + phi_hat^2/2) / n), where n
-    is the total observation count.  Deterministic, so the result carries
-    draws=0 and no seed.
+    is the total observation count.  ``study`` is a Study or a sequence of
+    groups, each checked as :class:`Study` checks it.  Deterministic, so
+    the result carries draws=0 and no seed.
     """
     level = checked_real(level, "confidence level", 0.0, 1.0)
     phi = newton_mle(study).phi
-    n_total = study.n
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * math.sqrt((phi**4 + phi**2 / 2.0) / n_total)
+    half = z * math.sqrt((phi**4 + phi**2 / 2.0) / group_arrays(study).ns.sum())
     return IntervalResult(method=Method.VERRILL_JOHNSON, level=level, lower=phi - half, upper=phi + half)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -115,15 +115,22 @@ class Study:
     index prepended, anything that is not such a record raises
     ValidationError, as does a collection of groups that is not iterable,
     and fewer than two groups raise TooFewGroupsError.
+
+    ``arrays`` is the checked groups' :class:`GroupArrays`, built once
+    here and read-only; :func:`group_arrays` returns it, so no reader of a
+    Study checks its groups again.  It is not an argument, and it takes no
+    part in ``repr``, ``==`` or ``hash``.
     """
 
     groups: tuple[SampleSummary, ...]
+    arrays: GroupArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         groups = _checked_groups(self.groups)
         object.__setattr__(self, "groups", groups)
         if len(groups) < 2:
             raise TooFewGroupsError(f"need at least 2 groups, got {len(groups)}")
+        object.__setattr__(self, "arrays", _group_arrays(groups))
 
     def __iter__(self):
         return iter(self.groups)
@@ -146,7 +153,7 @@ class Study:
 
 
 class GroupArrays(NamedTuple):
-    """Per-group statistics as float arrays; ``dfs`` is n_i - 1."""
+    """Per-group statistics as read-only float arrays; ``dfs`` is n_i - 1."""
 
     ns: np.ndarray
     means: np.ndarray
@@ -154,20 +161,31 @@ class GroupArrays(NamedTuple):
     dfs: np.ndarray
 
 
+def _group_arrays(groups: tuple[SampleSummary, ...]) -> GroupArrays:
+    """The read-only arrays of already checked groups: the four rows of one
+    (4, k) float array."""
+    rows = np.array([(g.n, g.mean, g.sd, g.n - 1) for g in groups], dtype=float).reshape(-1, 4).T
+    rows.setflags(write=False)
+    return GroupArrays(*rows)
+
+
 def group_arrays(study: Study | Sequence[SampleSummary]) -> GroupArrays:
-    """Array view of a Study, or of any iterable of groups (even a single
-    one), each checked as :class:`Study` checks it."""
-    groups = _checked_groups(study)
-    ns = np.array([g.n for g in groups], dtype=float)
-    means = np.array([g.mean for g in groups], dtype=float)
-    sds = np.array([g.sd for g in groups], dtype=float)
-    return GroupArrays(ns, means, sds, ns - 1.0)
+    """Array view of a study: a Study's own ``arrays``, with no check, or
+    the arrays of any other iterable of groups (even an empty or a single
+    one), each checked as :class:`Study` checks it.  The arrays are
+    read-only."""
+    return study.arrays if isinstance(study, Study) else _group_arrays(_checked_groups(study))
 
 
 @dataclass(frozen=True)
 class ParameterVector:
     """Model parameters (phi, sigma_1..sigma_k); the group means are
-    mu_i = sigma_i/phi."""
+    mu_i = sigma_i/phi.
+
+    phi must be a finite nonzero real (else ZeroMeanError), ``sigmas`` an
+    iterable (else ValidationError) of finite positive reals (else
+    NonPositiveSigmaError); they are stored as floats.
+    """
 
     phi: float
     sigmas: tuple[float, ...]
@@ -176,7 +194,8 @@ class ParameterVector:
         object.__setattr__(self, "phi", checked_real(self.phi, "phi", error=ZeroMeanError))
         if self.phi == 0.0:
             raise ZeroMeanError(f"phi must be finite and nonzero, got {self.phi!r}")
-        sigmas = tuple(checked_real(s, "a sigma", 0.0, error=NonPositiveSigmaError) for s in self.sigmas)
+        sigmas = _iterated(self.sigmas, "sigmas")
+        sigmas = tuple(checked_real(s, "a sigma", 0.0, error=NonPositiveSigmaError) for s in sigmas)
         object.__setattr__(self, "sigmas", sigmas)
 
     @property

@@ -481,7 +481,9 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
 
     The pivotal methods share one engine call, each getting exactly the
     equal-tailed interval it gets alone; ``vj`` is closed-form and ignores
-    m and seed.  Invalid arguments raise ValidationError.
+    m and seed.  ``study`` is a Study or, as for every function here, a
+    sequence of groups, each checked as :class:`Study` checks it.  Invalid
+    arguments raise ValidationError.
 
     Each end is the order statistic :func:`quantile` would give on all m
     draws.  The engine keeps per method one buffer of both tails beyond

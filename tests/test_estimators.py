@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from common_cv import estimators
-from common_cv.errors import NoConvergenceError, NumericalError, ValidationError
+from common_cv.errors import NoConvergenceError, NonPositiveSigmaError, NumericalError, ValidationError, ZeroMeanError
 from common_cv.estimators import (
     _bracketed_root,
     feltz_miller_estimate,
@@ -154,6 +154,38 @@ class TestLogLikelihood:
         sig = np.array([2.0, 5.0])
         expected = log_likelihood(groups, (0.4, sig)) - 25 * math.log(c)
         assert log_likelihood(scaled, (0.4, c * sig)) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+class TestTheta:
+    GROUPS = [(5, 1.0, 0.2), (7, 2.0, 0.4), (9, 3.0, 0.5)]
+    VIEWS = [
+        pytest.param(log_likelihood, id="log_likelihood"),
+        pytest.param(lambda study, theta: score_and_hessian(study, theta)[0], id="score"),
+    ]
+
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("theta, error, message", [
+        pytest.param((0.2, [1.0]), ValidationError, r"one sigma per group \(3\), got 1", id="one sigma"),
+        pytest.param((0.2, [1.0, 2.0]), ValidationError, r"one sigma per group \(3\), got 2", id="two sigmas"),
+        pytest.param(
+            ParameterVector(0.2, (1.0, 2.0, 3.0, 4.0)), ValidationError, r"\(3\), got 4", id="four-sigma vector"
+        ),
+        pytest.param((0.0, [1.0, 2.0, 3.0]), ZeroMeanError, "phi must be", id="zero phi"),
+        pytest.param((math.inf, [1.0, 2.0, 3.0]), ZeroMeanError, "phi must be", id="infinite phi"),
+        pytest.param((0.2, [1.0, -2.0, 3.0]), NonPositiveSigmaError, "a sigma must be", id="negative sigma"),
+        pytest.param((0.2, 1.0), ValidationError, "sigmas must be iterable", id="scalar sigma"),
+    ])
+    def test_tuple_checked_as_parameter_vector(self, view, theta, error, message):
+        with pytest.raises(error, match=message):
+            view(self.GROUPS, theta)
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_tuple_matches_parameter_vector(self, view):
+        phi, sigmas = 0.2, (1.0, 2.0, 3.0)
+        expected = view(Study(self.GROUPS), ParameterVector(phi, sigmas))
+        for theta in [(phi, sigmas), (phi, list(sigmas)), (phi, np.array(sigmas))]:
+            assert np.array_equal(view(self.GROUPS, theta), expected)
 
 
 def _fd_gradient(groups, phi, sig):
@@ -490,6 +522,10 @@ class TestVjInterval:
         inner = vj_interval(surveys, 0.90)
         outer = vj_interval(surveys, 0.99)
         assert outer.lower < inner.lower < inner.upper < outer.upper
+
+    def test_sequence_of_groups_matches_its_study(self, hospital):
+        records = [(g.n, g.mean, g.sd) for g in hospital]
+        assert vj_interval(records, 0.9) == vj_interval(list(hospital.groups), 0.9) == vj_interval(hospital, 0.9)
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, "0.95", None, 1j, True])
     def test_rejects_bad_level(self, surveys, level):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from common_cv import model
 from common_cv.errors import (
     NonPositiveSigmaError,
     NumericalError,
@@ -13,8 +14,11 @@ from common_cv.errors import (
     ZeroMeanError,
     ZeroVarianceError,
 )
+from common_cv.estimators import newton_mle
 from common_cv.model import (
+    ALL_METHODS,
     Alternative,
+    GroupArrays,
     IntervalResult,
     Method,
     PIVOTAL_METHODS,
@@ -22,9 +26,12 @@ from common_cv.model import (
     SampleSummary,
     Study,
     TestResult,
+    group_arrays,
     summarize,
     validate_study,
 )
+from common_cv.pivotal import intervals
+from common_cv.simulate import SimConfig, run_study
 
 # Values float() or a comparison may take, none of them a real number.
 NOT_REAL = ("0.95", None, 1j, True)
@@ -202,6 +209,65 @@ class TestStudy:
         assert Study(groups=iter(groups)) == Study(groups=list(groups)) == Study(groups=groups)
 
 
+def counting(monkeypatch, name):
+    """Replace model.<name> by a wrapper that counts its calls."""
+    calls, original = [], getattr(model, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(model, name, wrapper)
+    return calls
+
+
+class TestArrayView:
+    GROUPS = ((5, 1.0, 0.2), (7, 2.0, 0.4, "b"), (9, -3.0, 0.5))
+
+    def test_built_once_from_the_checked_groups(self):
+        study = Study(self.GROUPS)
+        assert group_arrays(study) is study.arrays
+        assert [a.tolist() for a in study.arrays] == [[5, 7, 9], [1.0, 2.0, -3.0], [0.2, 0.4, 0.5], [4, 6, 8]]
+        assert all(a.dtype == np.float64 for a in study.arrays)
+
+    @pytest.mark.parametrize("field", GroupArrays._fields)
+    def test_read_only(self, field):
+        study = Study(self.GROUPS)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(study.arrays, field)[0] = 1.0
+
+    def test_not_part_of_equality_hash_or_repr(self):
+        a, b = Study(self.GROUPS), Study(list(self.GROUPS))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"Study(groups={a.groups!r})"
+        with pytest.raises(TypeError):
+            Study(self.GROUPS, arrays=a.arrays)
+
+    @pytest.mark.parametrize("groups, rows", [
+        pytest.param([], [[], [], [], []], id="empty"),
+        pytest.param([(5, 1.0, 0.2)], [[5.0], [1.0], [0.2], [4.0]], id="one group"),
+        pytest.param(GROUPS, [[5, 7, 9], [1.0, 2.0, -3.0], [0.2, 0.4, 0.5], [4, 6, 8]], id="a plain tuple"),
+    ])
+    def test_any_iterable_of_groups(self, groups, rows):
+        arrays = group_arrays(groups)
+        assert [a.tolist() for a in arrays] == rows
+        assert all(a.dtype == np.float64 and a.shape == (len(groups),) for a in arrays)
+
+    def test_readers_of_a_study_check_no_group(self, monkeypatch):
+        study = Study(self.GROUPS[:2])
+        checks = counting(monkeypatch, "_checked_groups")
+        intervals(study, ALL_METHODS, 0.95, 500, seed=1)
+        newton_mle(study)
+        assert checks == []
+
+    def test_one_check_and_one_build_per_replication(self, monkeypatch):
+        checks, builds = counting(monkeypatch, "_checked_groups"), counting(monkeypatch, "_group_arrays")
+        reps = 12
+        result = run_study(SimConfig(phi=0.2, mus=(1.0, 2.0, 3.0), ns=(5, 5, 5), reps=reps, m=200, master_seed=3))
+        assert all(p.failures == 0 for p in result.performance.values())
+        assert len(checks) == len(builds) == reps
+
+
 class TestValidateStudy:
     def test_two_valid_groups(self):
         study = validate_study([(5, 1.0, 0.2), (7, 2.0, 0.4)])
@@ -263,6 +329,11 @@ class TestParameterVector:
 
     def test_negative_phi_allowed(self):
         assert ParameterVector(phi=-0.5, sigmas=(1.0,)).eta == -2.0
+
+    @pytest.mark.parametrize("sigmas", NOT_ITERABLE, ids=repr)
+    def test_rejects_sigmas_not_iterable(self, sigmas):
+        with pytest.raises(ValidationError, match="sigmas must be iterable"):
+            ParameterVector(phi=0.5, sigmas=sigmas)
 
 
 class TestResultTypes:

@@ -744,6 +744,13 @@ class TestFrontDoor:
                 quantile(values, 0.025), quantile(values, 0.975)
             )
 
+    def test_sequence_of_groups_matches_its_study(self, hospital):
+        records = [(g.n, g.mean, g.sd) for g in hospital]
+        expected = intervals(hospital, self.ALL, 0.95, 1000, seed=4)
+        assert intervals(records, self.ALL, 0.95, 1000, seed=4) == expected
+        for method in self.ALL:
+            assert confidence_interval(records, method, 0.95, 1000, seed=4) == expected[method]
+
     def test_ends_selected_without_a_copy(self, hospital, monkeypatch):
         # one method at m = 10^6 holds at most one block's working set and
         # far less than a copy of its 8 MB of draws
