@@ -57,8 +57,12 @@ def new_estimate(study: Study | Sequence[SampleSummary]) -> float:
 
 def _theta_arrays(theta: ParameterVector | tuple, k: int) -> tuple[float, np.ndarray]:
     """(phi, sigmas as an array) of a ParameterVector or a (phi, sigmas)
-    pair, checked by ParameterVector, with one sigma for each of k groups."""
-    theta = theta if isinstance(theta, ParameterVector) else ParameterVector(*theta)
+    pair, checked by ParameterVector, with one sigma for each of k groups;
+    anything else raises ValidationError."""
+    if not isinstance(theta, ParameterVector):
+        if not isinstance(theta, (Sequence, np.ndarray)) or len(theta) != 2:
+            raise ValidationError(f"theta must be a ParameterVector or a (phi, sigmas) pair, got {theta!r}")
+        theta = ParameterVector(*theta)
     if len(theta.sigmas) != k:
         raise ValidationError(f"need one sigma per group ({k}), got {len(theta.sigmas)}")
     return theta.phi, np.asarray(theta.sigmas, dtype=float)

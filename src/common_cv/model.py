@@ -119,7 +119,8 @@ class Study:
     ``arrays`` is the checked groups' :class:`GroupArrays`, built once
     here and read-only; :func:`group_arrays` returns it, so no reader of a
     Study checks its groups again.  It is not an argument, and it takes no
-    part in ``repr``, ``==`` or ``hash``.
+    part in ``repr``, ``==`` or ``hash``.  A copy or an unpickled Study is
+    made anew from its groups, so its ``arrays`` are read-only too.
     """
 
     groups: tuple[SampleSummary, ...]
@@ -131,6 +132,9 @@ class Study:
         if len(groups) < 2:
             raise TooFewGroupsError(f"need at least 2 groups, got {len(groups)}")
         object.__setattr__(self, "arrays", _group_arrays(groups))
+
+    def __reduce__(self):
+        return type(self), (self.groups,)
 
     def __iter__(self):
         return iter(self.groups)

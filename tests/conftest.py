@@ -1,7 +1,15 @@
 import pytest
 
-from common_cv import load_hospital_survival, load_mcv_surveys
+from common_cv import load_hospital_survival, load_mcv_surveys, pivotal
 from common_cv.model import SampleSummary, Study
+
+
+@pytest.fixture(autouse=True)
+def empty_front_door_memo():
+    """Each test starts with no results kept by the one-method front
+    doors, so a result kept by one test never stands in for a patched
+    engine in another."""
+    pivotal._memo.clear()
 
 
 @pytest.fixture(scope="session")

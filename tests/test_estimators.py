@@ -175,6 +175,9 @@ class TestTheta:
         pytest.param((math.inf, [1.0, 2.0, 3.0]), ZeroMeanError, "phi must be", id="infinite phi"),
         pytest.param((0.2, [1.0, -2.0, 3.0]), NonPositiveSigmaError, "a sigma must be", id="negative sigma"),
         pytest.param((0.2, 1.0), ValidationError, "sigmas must be iterable", id="scalar sigma"),
+        pytest.param((0.2,), ValidationError, r"a \(phi, sigmas\) pair, got \(0.2,\)", id="phi alone"),
+        pytest.param((0.2, [1.0, 2.0, 3.0], 4.0), ValidationError, r"\(phi, sigmas\) pair", id="three items"),
+        pytest.param(0.2, ValidationError, r"\(phi, sigmas\) pair, got 0.2", id="scalar theta"),
     ])
     def test_tuple_checked_as_parameter_vector(self, view, theta, error, message):
         with pytest.raises(error, match=message):

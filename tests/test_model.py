@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -242,6 +244,19 @@ class TestArrayView:
         assert repr(a) == f"Study(groups={a.groups!r})"
         with pytest.raises(TypeError):
             Study(self.GROUPS, arrays=a.arrays)
+
+    @pytest.mark.parametrize("copied", [
+        pytest.param(copy.copy, id="copy"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+        pytest.param(lambda study: pickle.loads(pickle.dumps(study)), id="pickle"),
+    ])
+    def test_copies_keep_read_only_arrays(self, copied):
+        study = Study(self.GROUPS)
+        twin = copied(study)
+        assert twin == study and type(twin) is Study
+        for field in GroupArrays._fields:
+            assert np.array_equal(getattr(twin.arrays, field), getattr(study.arrays, field))
+            assert not getattr(twin.arrays, field).flags.writeable
 
     @pytest.mark.parametrize("groups, rows", [
         pytest.param([], [[], [], [], []], id="empty"),

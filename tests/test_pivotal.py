@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import traceback
 import tracemalloc
 
 import numpy as np
@@ -234,6 +235,14 @@ class TestDegenerateHandling:
         with pytest.raises(DegenerateRateError):
             generate_draws(surveys, Method.NEW, 2000, seed=0)
 
+    def test_resampling_stops_at_one_percent(self, surveys, monkeypatch):
+        # 40 rows are degenerate, but the 21st regenerated one already
+        # makes 1% of all attempts, so no further row is begun
+        monkeypatch.setattr(pivotal, "_pivot_values", self._flag_first_rows(0.02))
+        values, rejected = _pivot_value_arrays(surveys, (Method.NEW,), 2000, seed=0)
+        assert rejected == {Method.NEW: 21}
+        assert str(values[Method.NEW]) == "21 degenerate draws out of 2021 attempts; data look pathological"
+
     def test_unrecoverable_replicate(self, surveys, monkeypatch):
         def always_bad(groups, u, zg, requested):
             vals = np.zeros(len(u))
@@ -250,7 +259,7 @@ class TestDegenerateHandling:
         values, rejected = _pivot_value_arrays(surveys, methods, 2000, seed=0)
         assert isinstance(values[Method.NEW], DegenerateRateError)
         # the regenerated replicates of the failed method are still counted
-        assert rejected == {Method.TIAN: 0, Method.NEW: 40, Method.COMBINED: 0}
+        assert rejected == {Method.TIAN: 0, Method.NEW: 21, Method.COMBINED: 0}
         for method in (Method.TIAN, Method.COMBINED):
             assert np.array_equal(values[method], clean[method])
 
@@ -751,6 +760,20 @@ class TestFrontDoor:
         for method in self.ALL:
             assert confidence_interval(records, method, 0.95, 1000, seed=4) == expected[method]
 
+    def test_one_shot_iterator_matches_its_study(self, hospital):
+        # intervals reads the groups for the engine and again for vj, and
+        # the front doors for their key and again on a miss
+        ivs = intervals(hospital, self.ALL, 0.95, 1000, seed=4)
+        tests = gpq_tests(hospital, self.PIVOTAL, 0.5, Alternative.TWO_SIDED, 1000, seed=4)
+        assert intervals(iter(hospital.groups), self.ALL, 0.95, 1000, seed=4) == ivs
+        assert gpq_tests(iter(hospital.groups), self.PIVOTAL, 0.5, Alternative.TWO_SIDED, 1000, seed=4) == tests
+        for method in self.ALL:
+            pivotal._memo.clear()
+            assert confidence_interval(iter(hospital.groups), method, 0.95, 1000, seed=4) == ivs[method]
+        for method in self.PIVOTAL:
+            pivotal._memo.clear()
+            assert gpq_test(iter(hospital.groups), method, 0.5, "two-sided", 1000, seed=4) == tests[method]
+
     def test_ends_selected_without_a_copy(self, hospital, monkeypatch):
         # one method at m = 10^6 holds at most one block's working set and
         # far less than a copy of its 8 MB of draws
@@ -777,17 +800,25 @@ class TestFrontDoor:
         monkeypatch.setattr(pivotal, "_WORKERS", 2)
         assert _traced_peak(lambda: intervals(hospital, (Method.TIAN,), 0.95, 10**6, seed=0)) < 4.25 * 2**20
 
+    def test_three_tails_buffers_for_two_worker_threads(self, hospital, monkeypatch):
+        # each of three buffers of tails holds both tails, half as many
+        # again and one pass (0.63 MiB); buffers of twice the tails and one
+        # pass (0.83 MiB) give a peak of 5.68 MiB
+        monkeypatch.setattr(pivotal, "_WORKERS", 2)
+        assert _traced_peak(lambda: intervals(hospital, PIVOTAL, 0.95, 10**6, seed=0)) < 5.25 * 2**20
+
     def test_middle_levels_keep_only_the_tails(self, hospital, monkeypatch):
-        # at level 0.75 each method's buffer of tails is about half its 8 MB
+        # at level 0.75 each method's buffer of tails is under half its 8 MB
         # of draws: three methods keep less than two methods' draws
         monkeypatch.setattr(pivotal, "_WORKERS", 2)
         m = 10**6
         assert _traced_peak(lambda: intervals(hospital, PIVOTAL, 0.75, m, seed=0)) < 2 * 8 * m
 
     def test_low_levels_select_on_all_draws(self, hospital, monkeypatch):
-        # from level 0.5 down the tails are all the draws: one buffer of m
-        # values (8 MB) per method, however many threads feed it, and never
-        # twice the tails (16 MB per method at level 0.01)
+        # from level 0.5 down the buffer of tails is three quarters of the
+        # draws or all of them: at most m values (8 MB) per method, however
+        # many threads feed it, and never more (twice the tails would be 16
+        # MB per method at level 0.01)
         monkeypatch.setattr(pivotal, "_WORKERS", 2)
         m = 10**6
         for level in (0.5, 0.01):
@@ -915,6 +946,132 @@ class TestFrontDoor:
     def test_non_method_named_by_repr(self, surveys):
         with pytest.raises(ValidationError, match=r"^'tian' is not a pivotal method"):
             intervals(surveys, ("tian",), 0.95, 1000, seed=0)
+
+
+class TestFrontDoorMemo:
+    """confidence_interval and gpq_test draw all three pivots in one engine
+    call per group values, m and seed (and level or phi0), keep the ends or
+    counts, and give each method what intervals or gpq_tests give it
+    alone."""
+
+    @staticmethod
+    def _engine_calls(monkeypatch):
+        calls, original = [], pivotal._pivot_value_arrays
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pivotal, "_pivot_value_arrays", counting)
+        return calls
+
+    def test_intervals_share_one_engine_call(self, hospital, monkeypatch):
+        alone = {method: intervals(hospital, (method,), 0.95, 1000, seed=4)[method] for method in PIVOTAL}
+        calls = self._engine_calls(monkeypatch)
+        for method in PIVOTAL:
+            assert confidence_interval(hospital, method, 0.95, 1000, seed=4) == alone[method]
+            assert gpq_interval(hospital, method, 0.95, 1000, seed=4) == alone[method]
+        # equal group values share the entry, whatever holds them
+        assert confidence_interval(Study(hospital.groups), Method.NEW, 0.95, 1000, seed=4) == alone[Method.NEW]
+        records = [(g.n, g.mean, g.sd) for g in hospital]
+        assert confidence_interval(records, Method.TIAN, np.float64(0.95), 1000, 4) == alone[Method.TIAN]
+        assert calls == [PIVOTAL]
+
+    def test_tests_share_one_engine_call(self, hospital, monkeypatch):
+        alone = {
+            (method, alt): gpq_tests(hospital, (method,), 0.8, alt, 1000, seed=4)[method]
+            for method in PIVOTAL for alt in Alternative
+        }
+        calls = self._engine_calls(monkeypatch)
+        for alt in Alternative:
+            for method in PIVOTAL:
+                assert gpq_test(hospital, method, 0.8, alt, 1000, seed=4) == alone[method, alt]
+                assert gpq_test(hospital, method, 0.8, alt.value, 1000, seed=4) == alone[method, alt]
+        assert calls == [PIVOTAL]
+
+    def test_vj_draws_nothing(self, hospital, monkeypatch):
+        calls = self._engine_calls(monkeypatch)
+        confidence_interval(hospital, Method.VERRILL_JOHNSON, 0.95, 1000, seed=4)
+        assert calls == [] and pivotal._memo == {}
+
+    OTHER_VALUES = Study([(5, 1.0, 0.2), (7, 2.0, 0.4), (9, 3.0, 0.5), (6, 1.5, 0.3)])
+
+    @pytest.mark.parametrize("changed", [
+        pytest.param({"level": 0.9}, id="level"),
+        pytest.param({"m": 1001}, id="m"),
+        pytest.param({"seed": 5}, id="seed"),
+        pytest.param({"study": OTHER_VALUES}, id="group values"),
+    ])
+    def test_a_new_interval_key_draws_again(self, hospital, monkeypatch, changed):
+        args = {"study": hospital, "level": 0.95, "m": 1000, "seed": 4}
+        calls = self._engine_calls(monkeypatch)
+        confidence_interval(method=Method.TIAN, **args)
+        args.update(changed)
+        assert confidence_interval(method=Method.NEW, **args) == intervals(
+            args["study"], (Method.NEW,), args["level"], args["m"], args["seed"]
+        )[Method.NEW]
+        assert len(calls) == 3  # the two keys, and the check made alone
+
+    @pytest.mark.parametrize("changed", [
+        pytest.param({"phi0": 0.7}, id="phi0"),
+        pytest.param({"m": 1001}, id="m"),
+        pytest.param({"seed": 5}, id="seed"),
+        pytest.param({"study": OTHER_VALUES}, id="group values"),
+    ])
+    def test_a_new_test_key_draws_again(self, hospital, monkeypatch, changed):
+        args = {"study": hospital, "phi0": 0.8, "m": 1000, "seed": 4}
+        calls = self._engine_calls(monkeypatch)
+        gpq_test(method=Method.TIAN, alternative=Alternative.LESS, **args)
+        args.update(changed)
+        assert gpq_test(method=Method.NEW, alternative=Alternative.LESS, **args) == gpq_tests(
+            args["study"], (Method.NEW,), args["phi0"], Alternative.LESS, args["m"], args["seed"]
+        )[Method.NEW]
+        assert len(calls) == 3
+
+    def test_intervals_and_tests_kept_apart(self, hospital, monkeypatch):
+        # a level and a null value of one number give different entries
+        calls = self._engine_calls(monkeypatch)
+        confidence_interval(hospital, Method.TIAN, 0.8, 1000, seed=4)
+        assert gpq_test(hospital, Method.TIAN, 0.8, Alternative.LESS, 1000, seed=4) == gpq_tests(
+            hospital, (Method.TIAN,), 0.8, Alternative.LESS, 1000, seed=4
+        )[Method.TIAN]
+        assert len(calls) == 3
+
+    def test_a_kept_error_is_raised_afresh(self, surveys, monkeypatch):
+        monkeypatch.setattr(
+            pivotal, "_pivot_values", TestDegenerateHandling._flag_first_rows(0.02, (Method.NEW,))
+        )
+        calls = self._engine_calls(monkeypatch)
+        message = "21 degenerate draws out of 2021 attempts; data look pathological"
+        for call in [
+            lambda: confidence_interval(surveys, Method.NEW, 0.95, 2000, seed=0),
+            lambda: gpq_test(surveys, Method.NEW, 0.04, Alternative.LESS, 2000, seed=0),
+        ]:
+            frames = []
+            for _ in range(3):
+                with pytest.raises(DegenerateRateError, match=f"^{message}$") as info:
+                    call()
+                frames.append(len(traceback.extract_tb(info.value.__traceback__)))
+            assert frames[0] == frames[1] == frames[2]
+        assert confidence_interval(surveys, Method.TIAN, 0.95, 2000, seed=0) == intervals(
+            surveys, (Method.TIAN,), 0.95, 2000, seed=0
+        )[Method.TIAN]
+        assert len(calls) == 3
+
+    def test_holds_at_most_its_bound(self, surveys, monkeypatch):
+        calls = self._engine_calls(monkeypatch)
+        seeds = range(2 * pivotal._MEMO_SIZE)
+        for seed in seeds:
+            confidence_interval(surveys, Method.TIAN, 0.95, 100, seed)
+            gpq_test(surveys, Method.TIAN, 0.04, Alternative.LESS, 100, seed)
+            assert len(pivotal._memo) <= pivotal._MEMO_SIZE
+        assert len(calls) == 2 * len(seeds)
+        # the oldest entries went first: the last seed's are still kept
+        confidence_interval(surveys, Method.NEW, 0.95, 100, seeds[-1])
+        gpq_test(surveys, Method.NEW, 0.04, Alternative.LESS, 100, seeds[-1])
+        assert len(calls) == 2 * len(seeds)
+        confidence_interval(surveys, Method.NEW, 0.95, 100, seeds[0])
+        assert len(calls) == 2 * len(seeds) + 1
 
 
 def test_pivotal_draws_value_object(surveys):
