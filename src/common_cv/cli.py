@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import enum
 import json
 import os
 import sys
@@ -33,6 +34,21 @@ from .simulate import SimConfig, run_grid
 
 _METHOD_CHOICES = [method.value for method in Method] + ["all"]
 _DEFAULT_DRAWS = 5000
+
+# One key list per result type, in its JSON record's order, and the text
+# line that formats the same record in the line's own order.
+_INTERVAL_KEYS = ("method", "level", "lower", "upper", "length", "draws", "seed")
+_INTERVAL_LINE = (
+    "method={method:<9} level={level:g} draws={draws} seed={seed} "
+    "lower={lower:.6f} upper={upper:.6f} length={length:.6f}"
+)
+_TEST_KEYS = ("method", "null", "alternative", "p_value", "draws", "seed")
+_TEST_LINE = (
+    "method={method:<9} null={null:g} alternative={alternative} draws={draws} seed={seed} "
+    "p_value={p_value:.6f}"
+)
+# the simulate CSV's columns after the cell's own
+_PERFORMANCE_KEYS = ("method", "coverage", "avg_length", "failures")
 
 
 class _UsageError(Exception):
@@ -135,14 +151,6 @@ def _load_study(args) -> Study:
     return reader(_source(args.input))
 
 
-def _in_order(results: dict):
-    """Results in method order, raising the first failed method's error on reaching it."""
-    for result in results.values():
-        if isinstance(result, errors.NumericalError):
-            raise result
-        yield result
-
-
 def _group_rows(study: Study):
     for label, g, cv in zip(study.labels, study.groups, group_cvs(study)):
         yield {"group": label, "n": g.n, "mean": g.mean, "sd": g.sd, "cv": cv}
@@ -183,35 +191,35 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _interval_record(iv) -> dict:
-    return {
-        "method": iv.method.value,
-        "level": iv.level,
-        "lower": iv.lower,
-        "upper": iv.upper,
-        "length": iv.length,
-        "draws": iv.draws,
-        "seed": iv.seed,
-    }
+def _record(result, keys) -> dict:
+    """``result``'s fields named by ``keys``, in their order: ``null`` reads
+    ``phi0``, and an enum reads as its value."""
+    values = (getattr(result, "phi0" if key == "null" else key) for key in keys)
+    return {key: v.value if isinstance(v, enum.Enum) else v for key, v in zip(keys, values)}
 
 
-def _print_interval(iv):
-    seed = "-" if iv.seed is None else iv.seed
-    print(
-        f"method={iv.method.value:<9} level={iv.level:g} draws={iv.draws} seed={seed} "
-        f"lower={iv.lower:.6f} upper={iv.upper:.6f} length={iv.length:.6f}"
-    )
+def _records(results: dict, keys):
+    """The record of each result in method order, raising the first failed
+    method's error on reaching it."""
+    for result in results.values():
+        if isinstance(result, errors.NumericalError):
+            raise result
+        yield _record(result, keys)
+
+
+def _print_records(records, line: str, as_json: bool):
+    """Each record as one JSON object, or as its text ``line``, where a missing seed reads -."""
+    for record in records:
+        seed = "-" if record["seed"] is None else record["seed"]
+        print(json.dumps(record) if as_json else line.format_map({**record, "seed": seed}))
 
 
 def _cmd_ci(args) -> int:
     _check_level(args.level)
     study = _load_study(args)
     seed = _resolve_seed(args)
-    for iv in _in_order(intervals(study, _resolve_methods(args, ALL_METHODS), args.level, args.draws, seed)):
-        if args.json:
-            print(json.dumps(_interval_record(iv)))
-        else:
-            _print_interval(iv)
+    results = intervals(study, _resolve_methods(args, ALL_METHODS), args.level, args.draws, seed)
+    _print_records(_records(results, _INTERVAL_KEYS), _INTERVAL_LINE, args.json)
     return 0
 
 
@@ -219,23 +227,8 @@ def _cmd_test(args) -> int:
     study = _load_study(args)
     seed = _resolve_seed(args)
     methods = _resolve_methods(args, PIVOTAL_METHODS)
-    for res in _in_order(gpq_tests(study, methods, args.null, args.alternative, args.draws, seed)):
-        record = {
-            "method": res.method.value,
-            "null": res.phi0,
-            "alternative": res.alternative.value,
-            "p_value": res.p_value,
-            "draws": res.draws,
-            "seed": res.seed,
-        }
-        if args.json:
-            print(json.dumps(record))
-        else:
-            print(
-                f"method={res.method.value:<9} null={res.phi0:g} "
-                f"alternative={res.alternative.value} draws={res.draws} seed={res.seed} "
-                f"p_value={res.p_value:.6f}"
-            )
+    results = gpq_tests(study, methods, args.null, args.alternative, args.draws, seed)
+    _print_records(_records(results, _TEST_KEYS), _TEST_LINE, args.json)
     return 0
 
 
@@ -250,9 +243,7 @@ def _cmd_simulate(args) -> int:
         )
         for phi, mus, ns in read_grid_csv(_source(args.config))
     ]
-    header = grid_header(len(configs[0].mus)) + [
-        "reps", "draws", "level", "seed", "method", "coverage", "avg_length", "failures", "error"
-    ]
+    header = grid_header(len(configs[0].mus)) + ["reps", "draws", "level", "seed", *_PERFORMANCE_KEYS, "error"]
     # opened before the grid runs, so that an unwritable path fails at once
     with contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", newline="") as fh:
         results = run_grid(configs)
@@ -260,16 +251,11 @@ def _cmd_simulate(args) -> int:
         writer.writerow(header)
         for res in results:
             cfg = res.config
-            prefix = [repr(cfg.phi), *[repr(v) for v in cfg.mus], *cfg.ns,
-                      cfg.reps, cfg.m, repr(cfg.level), cfg.master_seed]
+            prefix = [cfg.phi, *cfg.mus, *cfg.ns, cfg.reps, cfg.m, cfg.level, cfg.master_seed]
             if res.error is not None:
-                writer.writerow(prefix + ["", "", "", "", res.error])
-                continue
-            for method in cfg.methods:
-                perf = res.performance[method]
-                writer.writerow(
-                    prefix + [method.value, repr(perf.coverage), repr(perf.avg_length), perf.failures, ""]
-                )
+                writer.writerow(prefix + [""] * len(_PERFORMANCE_KEYS) + [res.error])
+            for perf in res.performance.values():
+                writer.writerow(prefix + [*_record(perf, _PERFORMANCE_KEYS).values(), ""])
     return 0
 
 
@@ -281,15 +267,14 @@ def _cmd_examples(args) -> int:
     ]
     for name, study in datasets:
         est = _estimates(study)
-        ivs = list(_in_order(intervals(study, ALL_METHODS, 0.95, args.draws, seed)))
+        records = list(_records(intervals(study, ALL_METHODS, 0.95, args.draws, seed), _INTERVAL_KEYS))
         if args.json:
-            print(json.dumps({"dataset": name, **est, "intervals": [_interval_record(iv) for iv in ivs]}))
+            print(json.dumps({"dataset": name, **est, "intervals": records}))
             continue
         print(f"=== {name} ===")
         _print_estimates(study, est)
         print("\n95% confidence intervals:")
-        for iv in ivs:
-            _print_interval(iv)
+        _print_records(records, _INTERVAL_LINE, False)
         print()
     return 0
 

@@ -11,7 +11,10 @@ in terms of the sufficient statistics (n_i, mean_i, sd_i) is
 
 Three closed-form estimators are provided, plus the maximum likelihood
 estimate, found as the root of the one-dimensional profile score in phi,
-and the asymptotic (Wald) interval built on it.
+and the asymptotic (Wald) interval built on it.  The two pooled
+estimators, the MLE and the interval each take a Study or any iterable
+of groups, which they read once; an empty one raises TooFewGroupsError,
+while a single group is estimated.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDenominatorError, NoConvergenceError, NumericalError, ValidationError
-from .model import IntervalResult, Method, ParameterVector, SampleSummary, Study, group_arrays
+from .model import IntervalResult, Method, ParameterVector, SampleSummary, Study, _read_once, group_arrays
 from .randgen import checked_real
 
 _PHI_MAX = 1e6  # largest |phi| searched for the MLE
@@ -38,7 +41,7 @@ def group_cvs(study: Study | Sequence[SampleSummary]) -> np.ndarray:
 
 def feltz_miller_estimate(study: Study | Sequence[SampleSummary]) -> float:
     """Pooled CV as the size-weighted arithmetic mean of group CVs."""
-    ns, means, sds, _ = group_arrays(study)
+    ns, means, sds, _ = group_arrays(_read_once(study))
     return float(np.sum(ns * (sds / means)) / np.sum(ns))
 
 
@@ -48,7 +51,7 @@ def new_estimate(study: Study | Sequence[SampleSummary]) -> float:
     Equals n / sum_i(n_i * mean_i/sd_i); errors if the weighted sum of
     inverse CVs cancels to exactly zero (possible with mixed-sign means).
     """
-    ns, means, sds, _ = group_arrays(study)
+    ns, means, sds, _ = group_arrays(_read_once(study))
     denom = float(np.sum(ns * (means / sds)))
     if denom == 0.0:
         raise DegenerateDenominatorError("weighted inverse CVs sum to zero")
@@ -176,6 +179,7 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     h is evaluated on plain floats: k is small, and a numpy call costs more
     than the arithmetic on a few groups.
     """
+    study = _read_once(study)
     ns, means, sds, _ = group_arrays(study)
     sign = math.copysign(1.0, new_estimate(study))
     # per group: n_i, q_i, and whether the mean has phi's sign
@@ -220,6 +224,7 @@ def vj_interval(study: Study | Sequence[SampleSummary], level: float) -> Interva
     the result carries draws=0 and no seed.
     """
     level = checked_real(level, "confidence level", 0.0, 1.0)
+    study = _read_once(study)
     phi = newton_mle(study).phi
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * math.sqrt((phi**4 + phi**2 / 2.0) / group_arrays(study).ns.sum())

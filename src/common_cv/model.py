@@ -89,6 +89,18 @@ def _iterated(items, what: str):
         raise ValidationError(f"{what} must be iterable, got {items!r}") from None
 
 
+def _read_once(study):
+    """A Study as it is, and any other iterable of groups read once into a
+    tuple, so that a one-shot iterator gives every reader all its groups;
+    no groups at all raise TooFewGroupsError.  The groups are not checked."""
+    if isinstance(study, Study):
+        return study
+    groups = tuple(_iterated(study, "a study's groups"))
+    if not groups:
+        raise TooFewGroupsError("need at least 1 group, got an empty study")
+    return groups
+
+
 def _checked_group(group, index: int) -> SampleSummary:
     """``group`` as a SampleSummary, checked as :class:`Study` describes;
     ``index`` is its 0-based place in the study."""

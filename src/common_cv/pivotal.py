@@ -68,6 +68,7 @@ from .model import (
     Study,
     TestResult,
     _iterated,
+    _read_once,
     group_arrays,
 )
 from .randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream, checked_int, checked_real, checked_seed
@@ -442,12 +443,6 @@ def _returned(result):
     return result
 
 
-def _read_once(study):
-    """A Study as it is, and any other iterable of groups read once into a
-    tuple, so that a one-shot iterator gives every reader all its groups."""
-    return study if isinstance(study, Study) else tuple(_iterated(study, "a study's groups"))
-
-
 def generate_draws(study: Study | Sequence[SampleSummary], method: Method, m: int, seed: int) -> PivotalDraws:
     """Generate m pivotal draws for one method.
 
@@ -457,7 +452,7 @@ def generate_draws(study: Study | Sequence[SampleSummary], method: Method, m: in
     ValidationError is raised.
     """
     m, seed = _draw_args(m, seed)
-    values, rejected = _pivot_value_arrays(study, (method,), m, seed)
+    values, rejected = _pivot_value_arrays(_read_once(study), (method,), m, seed)
     return PivotalDraws(method=method, values=_returned(values[method]), seed=seed, rejected=rejected[method])
 
 
@@ -498,7 +493,8 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
     equal-tailed interval it gets alone; ``vj`` is closed-form and ignores
     m and seed.  ``study`` is a Study or, as for every function here, an
     iterable of groups, each checked as :class:`Study` checks it; it is
-    read once.  Invalid arguments raise ValidationError.
+    read once, as is ``methods``, and no groups at all raise
+    TooFewGroupsError.  Invalid arguments raise ValidationError.
 
     Each end is the order statistic :func:`quantile` would give on all m
     draws.  The engine keeps per method one buffer of both tails beyond
@@ -507,6 +503,7 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
     The buffer holds all m draws where they are fewer: at m = 10^6 below
     a level of about 0.34, and in a call of one kernel pass.
     """
+    methods = tuple(_iterated(methods, "methods"))
     level = checked_real(level, "confidence level", 0.0, 1.0)
     pivotal = tuple(method for method in methods if method is not Method.VERRILL_JOHNSON)
     study, found = _read_once(study), {}
@@ -566,6 +563,7 @@ def gpq_tests(
     method, no draws.  ``alternative`` is an :class:`Alternative` or its
     value, such as "greater"; anything else raises ValidationError.
     """
+    methods = tuple(_iterated(methods, "methods"))
     phi0, alternative = _test_args(phi0, alternative)
     m, seed = _draw_args(m, seed)
     counts = _pivot_value_arrays(_read_once(study), methods, m, seed, lambda: _Counts(phi0))[0]

@@ -643,3 +643,29 @@ class TestOutputLayout:
             assert len(lines) == len(layout)
             for line, pattern in zip(lines, layout):
                 assert re.fullmatch(pattern, line), line
+
+
+class TestTextMatchesJson:
+    """A text line holds the values of the JSON record of the same call, as
+    the line formats them: 6 decimals for an end, a length or a p-value,
+    :g for a level or a null value, and - for a missing seed."""
+
+    FORMATS = {"level": "g", "null": "g", "lower": ".6f", "upper": ".6f", "length": ".6f", "p_value": ".6f"}
+
+    def shown(self, key, value):
+        return "-" if value is None else format(value, self.FORMATS.get(key, ""))
+
+    @pytest.mark.parametrize("dataset", [SURVEY, ("--input", HOSPITAL_PATH)], ids=["surveys", "hospital"])
+    @pytest.mark.parametrize("command, method", [
+        *((("ci",), method) for method in ("tian", "vj", "new", "combined")),
+        *((("test", "--null", "0.05"), method) for method in ("tian", "new", "combined")),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_same_values(self, capsys, dataset, command, method):
+        argv = (*command, *dataset, "--method", method, "--draws", "300")
+        code, text, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        [line], [record] = text.splitlines(), [json.loads(line) for line in out.splitlines()]
+        pairs = dict(token.split("=", 1) for token in line.split())
+        assert pairs == {key: self.shown(key, value) for key, value in record.items()}

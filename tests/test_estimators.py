@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -7,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from common_cv import estimators
-from common_cv.errors import NoConvergenceError, NonPositiveSigmaError, NumericalError, ValidationError, ZeroMeanError
+from common_cv.errors import (
+    NoConvergenceError,
+    NonPositiveSigmaError,
+    NumericalError,
+    TooFewGroupsError,
+    ValidationError,
+    ZeroMeanError,
+)
 from common_cv.estimators import (
     _bracketed_root,
     feltz_miller_estimate,
@@ -543,6 +551,34 @@ class TestVjInterval:
         other = vj_interval(scaled, 0.95)
         assert other.lower == pytest.approx(base.lower, rel=1e-9)
         assert other.upper == pytest.approx(base.upper, rel=1e-9)
+
+
+class TestGroupsReadOnce:
+    ESTIMATES = [
+        pytest.param(feltz_miller_estimate, id="feltz_miller"),
+        pytest.param(new_estimate, id="new"),
+        pytest.param(newton_mle, id="mle"),
+        pytest.param(lambda groups: vj_interval(groups, 0.95), id="vj"),
+    ]
+
+    @pytest.mark.parametrize("estimate", ESTIMATES)
+    def test_one_shot_iterator_matches_its_list(self, hospital, estimate):
+        # newton_mle and vj_interval read their groups more than once
+        groups = list(hospital.groups)
+        assert estimate(iter(groups)) == estimate(groups) == estimate(hospital)
+
+    @pytest.mark.parametrize("estimate", ESTIMATES)
+    @pytest.mark.parametrize("empty", [lambda: [], lambda: iter(())], ids=["list", "iterator"])
+    def test_no_groups_rejected(self, estimate, empty):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooFewGroupsError, match="empty study"):
+                estimate(empty())
+
+    @pytest.mark.parametrize("estimate", ESTIMATES)
+    def test_one_group_estimated(self, hospital, estimate):
+        one = hospital.groups[:1]
+        assert estimate(one) == estimate(list(one))
 
 
 def test_summarize_feeds_estimators():

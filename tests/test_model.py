@@ -283,6 +283,31 @@ class TestArrayView:
         assert len(checks) == len(builds) == reps
 
 
+class TestReadOnce:
+    """model._read_once: how every estimator and pivotal front door reads its groups."""
+
+    def test_study_passes_untouched(self, hospital):
+        assert model._read_once(hospital) is hospital
+
+    @pytest.mark.parametrize("groups", [
+        pytest.param(lambda: iter(TestArrayView.GROUPS), id="iterator"),
+        pytest.param(lambda: list(TestArrayView.GROUPS), id="list"),
+        pytest.param(lambda: (g for g in TestArrayView.GROUPS[:1]), id="one group"),
+    ])
+    def test_other_iterables_read_into_a_tuple(self, groups):
+        read = model._read_once(groups())
+        assert type(read) is tuple and read == tuple(groups())
+
+    @pytest.mark.parametrize("groups", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+    def test_no_groups_rejected(self, groups):
+        with pytest.raises(TooFewGroupsError, match="need at least 1 group, got an empty study"):
+            model._read_once(groups)
+
+    def test_not_iterable_rejected(self):
+        with pytest.raises(ValidationError, match="a study's groups must be iterable"):
+            model._read_once(3)
+
+
 class TestValidateStudy:
     def test_two_valid_groups(self):
         study = validate_study([(5, 1.0, 0.2), (7, 2.0, 0.4)])

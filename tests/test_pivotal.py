@@ -10,7 +10,13 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from common_cv import pivotal
-from common_cv.errors import DegenerateDenominatorError, DegenerateRateError, NumericalError, ValidationError
+from common_cv.errors import (
+    DegenerateDenominatorError,
+    DegenerateRateError,
+    NumericalError,
+    TooFewGroupsError,
+    ValidationError,
+)
 from common_cv.model import Alternative, Method, SampleSummary, Study, group_arrays
 from common_cv.pivotal import (
     _BLOCK,
@@ -773,6 +779,36 @@ class TestFrontDoor:
         for method in self.PIVOTAL:
             pivotal._memo.clear()
             assert gpq_test(iter(hospital.groups), method, 0.5, "two-sided", 1000, seed=4) == tests[method]
+
+    def test_one_shot_iterator_of_methods(self, hospital):
+        # both read ``methods`` more than once: to pick or check the pivotal
+        # methods, and again for the results
+        expected = intervals(hospital, self.ALL, 0.95, 1000, seed=4)
+        assert intervals(hospital, iter(self.ALL), 0.95, 1000, seed=4) == expected
+        expected = gpq_tests(hospital, self.PIVOTAL, 0.5, "less", 1000, seed=4)
+        assert gpq_tests(hospital, iter(self.PIVOTAL), 0.5, "less", 1000, seed=4) == expected
+
+    @pytest.mark.parametrize("methods", [Method.TIAN, None, 3])
+    def test_methods_not_iterable(self, hospital, methods):
+        with pytest.raises(ValidationError, match="methods must be iterable"):
+            intervals(hospital, methods, 0.95, 1000, seed=4)
+        with pytest.raises(ValidationError, match="methods must be iterable"):
+            gpq_tests(hospital, methods, 0.5, "less", 1000, seed=4)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda groups: intervals(groups, (Method.VERRILL_JOHNSON,), 0.95, 1000, 4), id="intervals-vj"),
+        pytest.param(lambda groups: intervals(groups, tuple(Method), 0.95, 1000, 4), id="intervals"),
+        pytest.param(lambda groups: gpq_tests(groups, PIVOTAL, 0.5, "less", 1000, 4), id="gpq_tests"),
+        pytest.param(lambda groups: confidence_interval(groups, Method.TIAN, 0.95, 1000, 4), id="ci-tian"),
+        pytest.param(lambda groups: confidence_interval(groups, Method.VERRILL_JOHNSON, 0.95, 1000, 4), id="ci-vj"),
+        pytest.param(lambda groups: gpq_interval(groups, Method.NEW, 0.95, 1000, 4), id="gpq_interval"),
+        pytest.param(lambda groups: gpq_test(groups, Method.COMBINED, 0.5, "less", 1000, 4), id="gpq_test"),
+        pytest.param(lambda groups: generate_draws(groups, Method.TIAN, 1000, 4), id="generate_draws"),
+    ])
+    @pytest.mark.parametrize("empty", [lambda: [], lambda: iter(())], ids=["list", "iterator"])
+    def test_no_groups_rejected(self, call, empty):
+        with pytest.raises(TooFewGroupsError, match="empty study"):
+            call(empty())
 
     def test_ends_selected_without_a_copy(self, hospital, monkeypatch):
         # one method at m = 10^6 holds at most one block's working set and

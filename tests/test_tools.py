@@ -1,12 +1,24 @@
 import importlib.util
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "count_code_lines.py"
-_spec = importlib.util.spec_from_file_location("count_code_lines", TOOL)
-count_code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(count_code_lines)
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+TOOL = TOOLS / "count_code_lines.py"
+DIGEST = TOOLS / "cli_digest.py"
+
+
+def load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+count_code_lines = load(TOOL)
+cli_digest = load(DIGEST)
 
 SOURCE = b'''"""Module docstring,
 over two lines."""
@@ -43,3 +55,20 @@ def test_prints_each_file_and_the_total(tmp_path):
     (tmp_path / "pkg" / "b.py").write_bytes(b"x = 1\n\n# c\n")
     out = subprocess.run([sys.executable, str(TOOL), str(tmp_path)], capture_output=True, text=True, check=True)
     assert out.stdout.split("\n") == ["     9  a.py", "     1  pkg/b.py", "    10  total", ""]
+
+
+# calls that fail: a test of the non-pivotal vj and an unknown method are
+# usage errors, a missing input file an i/o error
+FAILING_CALLS = {"--null 0.6 --method vj": "1", "--method bogus": "1", "missing.csv": "3"}
+
+
+def test_cli_digest_one_line_per_call_on_every_run():
+    runs = [subprocess.run([sys.executable, str(DIGEST)], capture_output=True, text=True, check=True) for _ in range(2)]
+    assert runs[0].stdout == runs[1].stdout and runs[0].stderr == ""
+    calls = cli_digest.calls()
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == len(calls)
+    for line, call in zip(lines, calls):
+        code, _, argv = re.fullmatch(r"(\d) ([0-9a-f]{64}) (.+)", line).groups()
+        assert argv == shlex.join(call)
+        assert code == next((found for part, found in FAILING_CALLS.items() if part in argv), "0")
