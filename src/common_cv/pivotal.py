@@ -43,6 +43,7 @@ m draws in one array give.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -67,6 +68,7 @@ from .model import (
     SampleSummary,
     Study,
     TestResult,
+    _checked_groups,
     _iterated,
     _read_once,
     group_arrays,
@@ -184,7 +186,7 @@ def _single_draw(groups: GroupArrays, method: Method, u, z) -> float:
 
 def tian_draw(study: Study | Sequence[SampleSummary], u: Sequence[float], z: Sequence[float]) -> float:
     """One draw of the group-weighted pivotal (weights n_i - 1)."""
-    return _single_draw(group_arrays(study), Method.TIAN, u, z)
+    return _single_draw(group_arrays(_read_once(study)), Method.TIAN, u, z)
 
 
 def new_method_draw(study: Study | Sequence[SampleSummary], u: Sequence[float], z_common: float) -> float:
@@ -195,7 +197,7 @@ def new_method_draw(study: Study | Sequence[SampleSummary], u: Sequence[float], 
     sum_i sqrt(n_i)*z_i = sqrt(n)*z_common.  To pair a draw with given z_i
     (as the engine does), pass sum_i sqrt(n_i)*z_i / sqrt(n).
     """
-    groups = group_arrays(study)
+    groups = group_arrays(_read_once(study))
     z = z_common * np.sqrt(groups.ns) / math.sqrt(groups.ns.sum())
     return _single_draw(groups, Method.NEW, u, z)
 
@@ -329,11 +331,12 @@ class _Counts:
 
 def _check_pivotal(methods):
     """ValidationError naming the first of ``methods`` that is not pivotal:
-    a Method by its value, anything else by its repr."""
+    a Method by its value, anything else by its repr as not a Method."""
     for method in methods:
+        if not isinstance(method, Method):
+            raise ValidationError(f"{method!r} is not a Method; pass Method.TIAN, Method.NEW or Method.COMBINED")
         if method not in PIVOTAL_METHODS:
-            names = ", ".join(pivotal.value for pivotal in PIVOTAL_METHODS)
-            raise ValidationError(f"{getattr(method, 'value', repr(method))} is not a pivotal method ({names})")
+            raise ValidationError(f"{method.value} is not a pivotal method (tian, new, combined)")
 
 
 def _draw_args(m, seed):
@@ -435,7 +438,7 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
 
 def _returned(result):
     """``result``, or a fresh copy of it raised if it is a NumericalError.
-    A stored error may be raised many times (see :func:`_memoised`), and
+    A kept error may be raised many times (see :func:`_all_pivotal`), and
     each raise of one instance would add its frames to that instance's
     traceback."""
     if isinstance(result, NumericalError):
@@ -551,6 +554,12 @@ def _test_result(method, counts, phi0, alternative, m, seed):
     return TestResult(method, phi0, alternative, p_value=p, draws=m, seed=seed)
 
 
+def _counts(study, methods, phi0, m, seed):
+    """{method: its :class:`_Counts` result or its NumericalError}, from one
+    engine call on the groups read once."""
+    return _pivot_value_arrays(_read_once(study), methods, m, seed, lambda: _Counts(phi0))[0]
+
+
 def gpq_tests(
     study: Study, methods: Sequence[Method], phi0: float, alternative: Alternative, m: int, seed: int
 ) -> dict:
@@ -566,33 +575,27 @@ def gpq_tests(
     methods = tuple(_iterated(methods, "methods"))
     phi0, alternative = _test_args(phi0, alternative)
     m, seed = _draw_args(m, seed)
-    counts = _pivot_value_arrays(_read_once(study), methods, m, seed, lambda: _Counts(phi0))[0]
+    counts = _counts(study, methods, phi0, m, seed)
     return {method: _test_result(method, c, phi0, alternative, m, seed) for method, c in counts.items()}
 
 
 # The one-method front doors draw all three pivots at once and keep what
-# each method reads, so the sibling calls at one study, m and seed draw
-# nothing.  Entries hold only ends, counts and errors, the oldest going
-# first.
-_MEMO_SIZE = 4
-_memo, _memo_lock = {}, threading.Lock()
+# each method reads for the four most recently used keys, so the sibling
+# calls at one study, m and seed draw nothing.  Entries hold only ends,
+# counts and errors.
+@functools.lru_cache(maxsize=4)
+def _all_pivotal(reduce, groups, arg, m, seed):
+    """``reduce`` (:func:`intervals` or :func:`_counts`) for all three
+    pivotal methods at ``groups``, the checked groups' (n, mean, sd)
+    triples, and at ``arg`` (the level or phi0), m and seed."""
+    return reduce(groups, PIVOTAL_METHODS, arg, m, seed)
 
 
-def _memoised(kind, study, args, compute):
-    """compute()'s dict for (kind, the study's values, *args), computed
-    once while among the last _MEMO_SIZE stored.  The key holds the
-    study's ns, means and sds by value, so equal groups share an entry."""
-    ns, means, sds, _ = group_arrays(study)
-    key = (kind, ns.tobytes(), means.tobytes(), sds.tobytes(), *args)
-    with _memo_lock:
-        found = _memo.get(key)
-    if found is None:
-        found = compute()
-        with _memo_lock:
-            _memo[key] = found
-            while len(_memo) > _MEMO_SIZE:
-                del _memo[next(iter(_memo))]
-    return found
+def _key_groups(study):
+    """The checked groups' (n, mean, sd) triples, without labels, read once,
+    so that equal group values share an entry of :func:`_all_pivotal`; no
+    groups give (), which :func:`intervals` and :func:`_counts` reject."""
+    return tuple((g.n, g.mean, g.sd) for g in _checked_groups(study))
 
 
 def confidence_interval(study: Study, method: Method, level: float, m: int, seed: int) -> IntervalResult:
@@ -609,9 +612,7 @@ def confidence_interval(study: Study, method: Method, level: float, m: int, seed
         return _returned(intervals(study, (method,), level, m, seed)[method])
     level = checked_real(level, "confidence level", 0.0, 1.0)
     m, seed = _draw_args(m, seed)
-    study = _read_once(study)
-    found = _memoised("ci", study, (level, m, seed), lambda: intervals(study, PIVOTAL_METHODS, level, m, seed))
-    return _returned(found[method])
+    return _returned(_all_pivotal(intervals, _key_groups(study), level, m, seed)[method])
 
 
 def gpq_interval(study: Study, method: Method, level: float, m: int, seed: int) -> IntervalResult:
@@ -634,9 +635,5 @@ def gpq_test(
     phi0, alternative = _test_args(phi0, alternative)
     m, seed = _draw_args(m, seed)
     _check_pivotal((method,))
-    study = _read_once(study)
-    counts = _memoised(
-        "test", study, (phi0, m, seed),
-        lambda: _pivot_value_arrays(study, PIVOTAL_METHODS, m, seed, lambda: _Counts(phi0))[0],
-    )
-    return _returned(_test_result(method, counts[method], phi0, alternative, m, seed))
+    counts = _all_pivotal(_counts, _key_groups(study), phi0, m, seed)[method]
+    return _returned(_test_result(method, counts, phi0, alternative, m, seed))

@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import NumericalError, ValidationError
-from .model import ALL_METHODS, PIVOTAL_METHODS, IntervalResult, Method, Study, summarize
+from .model import ALL_METHODS, PIVOTAL_METHODS, IntervalResult, Method, Study, _iterated, summarize
 # Only intervals is called here; perfbench/tracer.py wraps the other bindings.
 from .pivotal import _pivot_value_arrays, generate_draws, intervals, quantile, vj_interval  # noqa: F401
 from .pivotal import _draw_args
@@ -45,10 +47,10 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "mus", tuple(checked_real(v, "a group mean") for v in self.mus))
-        object.__setattr__(self, "ns", tuple(checked_int(v, "a group size") for v in self.ns))
+        object.__setattr__(self, "mus", tuple(checked_real(v, "a group mean") for v in _iterated(self.mus, "mus")))
+        object.__setattr__(self, "ns", tuple(checked_int(v, "a group size") for v in _iterated(self.ns, "ns")))
         object.__setattr__(self, "reps", checked_int(self.reps, "reps"))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", tuple(_iterated(self.methods, "methods")))
         object.__setattr__(self, "master_seed", checked_seed(self.master_seed))
         if any(method in PIVOTAL_METHODS for method in self.methods):
             object.__setattr__(self, "m", _draw_args(self.m, self.master_seed)[0])
@@ -92,7 +94,8 @@ def _simulate_study(config: SimConfig, data_stream) -> Study:
     groups = []
     for i, (mu, n) in enumerate(zip(config.mus, config.ns)):
         z = data_stream.standard_normal(n)
-        x = mu * (1.0 + config.phi * z)
+        with np.errstate(over="ignore"):  # summarize rejects the values that overflow
+            x = mu * (1.0 + config.phi * z)
         groups.append(summarize(x, label=f"g{i + 1}"))
     return Study(groups=tuple(groups))
 

@@ -9,7 +9,7 @@ def empty_front_door_memo():
     """Each test starts with no results kept by the one-method front
     doors, so a result kept by one test never stands in for a patched
     engine in another."""
-    pivotal._memo.clear()
+    pivotal._all_pivotal.cache_clear()
 
 
 @pytest.fixture(scope="session")

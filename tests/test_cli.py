@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import re
+import warnings
 from importlib import resources
 
 import pytest
@@ -423,6 +424,17 @@ class TestSimulate:
             assert 0.0 <= float(r[10]) <= 1.0
             assert float(r[11]) > 0.0
             assert r[13] == ""
+
+    def test_overflowing_cell_warns_nothing(self, capsys, tmp_path):
+        # the simulated data overflow: every replication fails, and numpy
+        # warns nothing that would reach stderr
+        grid = write_grid(tmp_path, "phi,mu1,mu2,n1,n2\n0.5,1e308,1e308,5,5\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "simulate", "--config", grid, "--reps", "3", "--draws", "100")
+        assert code == 0 and err == "" and caught == []
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [r[10:] for r in rows] == [["nan", "nan", "3", ""]] * 4
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         args = ("simulate", "--config", write_grid(tmp_path),

@@ -774,10 +774,10 @@ class TestFrontDoor:
         assert intervals(iter(hospital.groups), self.ALL, 0.95, 1000, seed=4) == ivs
         assert gpq_tests(iter(hospital.groups), self.PIVOTAL, 0.5, Alternative.TWO_SIDED, 1000, seed=4) == tests
         for method in self.ALL:
-            pivotal._memo.clear()
+            pivotal._all_pivotal.cache_clear()
             assert confidence_interval(iter(hospital.groups), method, 0.95, 1000, seed=4) == ivs[method]
         for method in self.PIVOTAL:
-            pivotal._memo.clear()
+            pivotal._all_pivotal.cache_clear()
             assert gpq_test(iter(hospital.groups), method, 0.5, "two-sided", 1000, seed=4) == tests[method]
 
     def test_one_shot_iterator_of_methods(self, hospital):
@@ -804,6 +804,8 @@ class TestFrontDoor:
         pytest.param(lambda groups: gpq_interval(groups, Method.NEW, 0.95, 1000, 4), id="gpq_interval"),
         pytest.param(lambda groups: gpq_test(groups, Method.COMBINED, 0.5, "less", 1000, 4), id="gpq_test"),
         pytest.param(lambda groups: generate_draws(groups, Method.TIAN, 1000, 4), id="generate_draws"),
+        pytest.param(lambda groups: tian_draw(groups, [], []), id="tian_draw"),
+        pytest.param(lambda groups: new_method_draw(groups, [], 0.1), id="new_method_draw"),
     ])
     @pytest.mark.parametrize("empty", [lambda: [], lambda: iter(())], ids=["list", "iterator"])
     def test_no_groups_rejected(self, call, empty):
@@ -980,7 +982,8 @@ class TestFrontDoor:
             call(surveys)
 
     def test_non_method_named_by_repr(self, surveys):
-        with pytest.raises(ValidationError, match=r"^'tian' is not a pivotal method"):
+        message = r"^'tian' is not a Method; pass Method\.TIAN, Method\.NEW or Method\.COMBINED$"
+        with pytest.raises(ValidationError, match=message):
             intervals(surveys, ("tian",), 0.95, 1000, seed=0)
 
 
@@ -1028,7 +1031,7 @@ class TestFrontDoorMemo:
     def test_vj_draws_nothing(self, hospital, monkeypatch):
         calls = self._engine_calls(monkeypatch)
         confidence_interval(hospital, Method.VERRILL_JOHNSON, 0.95, 1000, seed=4)
-        assert calls == [] and pivotal._memo == {}
+        assert calls == [] and pivotal._all_pivotal.cache_info().currsize == 0
 
     OTHER_VALUES = Study([(5, 1.0, 0.2), (7, 2.0, 0.4), (9, 3.0, 0.5), (6, 1.5, 0.3)])
 
@@ -1096,11 +1099,11 @@ class TestFrontDoorMemo:
 
     def test_holds_at_most_its_bound(self, surveys, monkeypatch):
         calls = self._engine_calls(monkeypatch)
-        seeds = range(2 * pivotal._MEMO_SIZE)
+        seeds = range(2 * pivotal._all_pivotal.cache_info().maxsize)
         for seed in seeds:
             confidence_interval(surveys, Method.TIAN, 0.95, 100, seed)
             gpq_test(surveys, Method.TIAN, 0.04, Alternative.LESS, 100, seed)
-            assert len(pivotal._memo) <= pivotal._MEMO_SIZE
+            assert pivotal._all_pivotal.cache_info().currsize <= pivotal._all_pivotal.cache_info().maxsize
         assert len(calls) == 2 * len(seeds)
         # the oldest entries went first: the last seed's are still kept
         confidence_interval(surveys, Method.NEW, 0.95, 100, seeds[-1])
@@ -1108,6 +1111,33 @@ class TestFrontDoorMemo:
         assert len(calls) == 2 * len(seeds)
         confidence_interval(surveys, Method.NEW, 0.95, 100, seeds[0])
         assert len(calls) == 2 * len(seeds) + 1
+
+    def test_threads_share_the_cache(self, hospital):
+        # 4 threads call both front doors for every pivotal method at two
+        # seeds; each gets what the method alone gets
+        seeds = (4, 5)
+        alone_ci = {(method, seed): intervals(hospital, (method,), 0.95, 2000, seed)[method]
+                    for method in PIVOTAL for seed in seeds}
+        alone_test = {(method, seed): gpq_tests(hospital, (method,), 0.8, "less", 2000, seed)[method]
+                      for method in PIVOTAL for seed in seeds}
+        found, sizes, start = [], [], threading.Barrier(4)
+
+        def work():
+            start.wait()
+            for seed in seeds:
+                for method in PIVOTAL:
+                    found.append((alone_ci[method, seed], confidence_interval(hospital, method, 0.95, 2000, seed)))
+                    found.append((alone_test[method, seed], gpq_test(hospital, method, 0.8, "less", 2000, seed)))
+                    sizes.append(pivotal._all_pivotal.cache_info().currsize)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(found) == 4 * 2 * 2 * len(PIVOTAL)
+        assert all(expected == got for expected, got in found)
+        assert max(sizes) <= pivotal._all_pivotal.cache_info().maxsize
 
 
 def test_pivotal_draws_value_object(surveys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,9 @@ class TestSimConfig:
             *(dict(phi=v) for v in NOT_REAL),  # True was taken as phi = 1
             *(dict(level=v) for v in NOT_REAL),
             *(dict(mus=(1.0, v, 2.0)) for v in NOT_REAL),  # "0.95" and True were converted
+            dict(mus=1.0),  # not iterable: was a bare TypeError
+            dict(ns=5),
+            dict(methods=Method.TIAN),
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -157,6 +161,15 @@ class TestRunStudy:
         assert res.error is None
         assert [res.performance[m].failures for m in (Method.TIAN, Method.NEW, Method.COMBINED)] == [10] * 3
         assert res.performance[Method.VERRILL_JOHNSON].failures >= 10
+
+    def test_overflowing_data_warn_nothing(self):
+        # mu * (1 + phi * z) overflows; summarize rejects the values, and
+        # numpy warns nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_study(SimConfig(phi=0.5, mus=(1e308, 1e308), ns=(5, 5), reps=3, m=100))
+        assert res.error is None
+        assert [perf.failures for perf in res.performance.values()] == [3] * len(ALL_METHODS)
 
     def test_every_replication_overflowing(self):
         # reads as an all-degenerate cell: every replication failed, coverage nan
