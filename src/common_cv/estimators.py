@@ -12,9 +12,9 @@ in terms of the sufficient statistics (n_i, mean_i, sd_i) is
 Three closed-form estimators are provided, plus the maximum likelihood
 estimate, found as the root of the one-dimensional profile score in phi,
 and the asymptotic (Wald) interval built on it.  The two pooled
-estimators, the MLE and the interval each take a Study or any iterable
-of groups, which they read once; an empty one raises TooFewGroupsError,
-while a single group is estimated.
+estimators, the MLE, the interval and the likelihood functions each take
+a Study or any iterable of groups, which they read once; an empty one
+raises TooFewGroupsError, while a single group is estimated.
 """
 
 from __future__ import annotations
@@ -78,8 +78,9 @@ def log_likelihood(study: Study | Sequence[SampleSummary], theta: ParameterVecto
     A pair is checked as :class:`ParameterVector` checks its fields, so a
     zero or non-finite phi and a sigma that is not a finite positive real
     raise ValidationError; so does a sigma count other than the study's k.
+    No groups at all raise TooFewGroupsError.
     """
-    ns, means, sds, _ = group_arrays(study)
+    ns, means, sds, _ = group_arrays(_read_once(study))
     phi, sig = _theta_arrays(theta, len(ns))
     constant = 0.5 * float(ns.sum()) * math.log(2.0 * math.pi)
     resid = means - sig / phi
@@ -93,10 +94,10 @@ def score_and_hessian(
     """Analytic gradient and Hessian of the log likelihood at theta.
 
     Ordering is (phi, sigma_1..sigma_k).  The sigma block of the Hessian is
-    diagonal because groups only interact through phi.  theta is checked
-    as :func:`log_likelihood` checks it.
+    diagonal because groups only interact through phi.  theta and the
+    groups are checked as :func:`log_likelihood` checks them.
     """
-    ns, means, sds, _ = group_arrays(study)
+    ns, means, sds, _ = group_arrays(_read_once(study))
     k = len(ns)
     phi, sig = _theta_arrays(theta, k)
     resid = means - sig / phi  # d(resid)/d(phi) = sig/phi^2, d/d(sigma_i) = -1/phi

@@ -43,6 +43,7 @@ m draws in one array give.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -118,74 +119,82 @@ def _variate_slices(stream: SeededStream, dfs: np.ndarray, b: int):
     stream.standard_normal(b)
 
 
-def _pivot_values(groups: GroupArrays, u: np.ndarray, zg: np.ndarray, methods) -> dict:
-    """The requested pivots, one column of D at a time.
+def _pivot_values(groups: GroupArrays, u: np.ndarray, zg: np.ndarray) -> dict:
+    """All three pivots, one column of D at a time.
 
     u and zg are (b, k) arrays; returns {method: (values, degenerate_mask)}
-    for each of ``methods``, both of length b.  Only the sums the methods
-    need are formed: the Tian sum of w_j/D_j for tian and combined, the new
-    sum of n_j*D_j for new and combined.  Column j's D_j is built in one
-    reused buffer from plain-float r_j, df_j and sqrt(n_j), and its terms
-    are added in the order numpy's ``sum(axis=1)`` adds a row, so every
-    value equals, bit for bit, the module docstring's formulas evaluated
-    on (b, k) arrays.  A value is degenerate when it is not finite, which
-    includes every zero denominator.
+    for each of ``PIVOTAL_METHODS``, both of length b, the rows of one
+    (3, b) array of values and one of masks.  Both sums are formed, since
+    combined reads them both: the Tian sum of w_j/D_j and the new sum of
+    n_j*D_j, so a caller for one method pays for the other's sum too.
+    Column j's D_j is built in one reused buffer from plain-float r_j,
+    df_j and sqrt(n_j), and its terms are added in the order numpy's
+    ``sum(axis=1)`` adds a row, so every value equals, bit for bit, the
+    module docstring's formulas evaluated on (b, k) arrays.  A value is
+    degenerate when it is not finite, which includes every zero
+    denominator.
     """
     ns, means, sds, dfs = groups
-    want_tian = Method.TIAN in methods or Method.COMBINED in methods
-    want_new = Method.NEW in methods or Method.COMBINED in methods
-    b, k = u.shape[0], ns.size
-    d, term = np.empty(b), np.empty((want_tian + want_new, b))
+    pivots, term, k = np.zeros((3, len(u))), np.empty((2, len(u))), ns.size
+    d = pivots[2]  # D_j, one column at a time, until it holds the combined pivot
     # numpy's row-wise sum adds fewer than 8 elements left to right from
     # +0.0, and 8 or more pairwise, so from 8 on the terms are stacked
     # and numpy sums them
-    sums = np.zeros(term.shape) if k < 8 else np.empty(term.shape + (k,))
+    sums = pivots[:2] if k < 8 else np.empty(term.shape + (k,))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(k):
             n, df = float(ns[j]), float(dfs[j])
             np.divide(u[:, j], df, out=d)
             np.sqrt(d, out=d)
             np.multiply(d, float(means[j]) / float(sds[j]), out=d)
-            np.subtract(d, np.divide(zg[:, j], math.sqrt(n), out=term[-1]), out=d)
-            if want_tian:
-                np.divide(df, d, out=term[0])
-            if want_new:
-                np.multiply(d, n, out=term[-1])
+            np.subtract(d, np.divide(zg[:, j], math.sqrt(n), out=term[1]), out=d)
+            np.divide(df, d, out=term[0])
+            np.multiply(d, n, out=term[1])
             if k < 8:
                 sums += term
             else:
                 sums[..., j] = term
         if k >= 8:
-            sums = sums.sum(axis=-1)
-        pivots = {}
-        if want_tian:
-            pivots[Method.TIAN] = tian = np.divide(sums[0], dfs.sum(), out=sums[0])
-        if want_new:
-            pivots[Method.NEW] = new = np.divide(ns.sum(), sums[-1], out=sums[-1])
-        if Method.COMBINED in methods:
-            pivots[Method.COMBINED] = combined = np.add(tian, new, out=d)
-            combined *= 0.5
-    result = {}
-    for method in methods:
-        bad = np.isfinite(pivots[method])
-        result[method] = pivots[method], np.logical_not(bad, out=bad)
-    return result
+            sums.sum(axis=-1, out=pivots[:2])
+        pivots[0] /= dfs.sum()
+        np.divide(ns.sum(), pivots[1], out=pivots[1])
+        np.add(pivots[0], pivots[1], out=d)
+        d *= 0.5
+    bad = np.isfinite(pivots)
+    np.logical_not(bad, out=bad)
+    return {method: (pivots[i], bad[i]) for i, method in enumerate(PIVOTAL_METHODS)}
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """``values`` as a float array, or ValidationError naming ``what``
+    unless numpy reads them as finite real numbers: a str, a complex
+    number, None, a NaN, an infinity or ragged rows is not one."""
+    with contextlib.suppress(TypeError, ValueError):  # not read as reals: raised below
+        vals = np.asarray(values).astype(float, casting="safe", copy=False)
+        if np.isfinite(vals).all():
+            return vals
+    raise ValidationError(f"{what} must be finite real numbers")
 
 
 def _single_draw(groups: GroupArrays, method: Method, u, z) -> float:
-    u, z = np.atleast_2d(u), np.atleast_2d(z)
-    if u.shape != (1, groups.ns.size) or z.shape != u.shape:
-        raise ValidationError(
-            f"need one u and one z per group ({groups.ns.size}), got {u.shape[-1]} and {z.shape[-1]}"
-        )
-    vals, bad = _pivot_values(groups, u, z, (method,))[method]
+    u, z, k = _reals(u, "u"), _reals(z, "z"), groups.ns.size
+    if np.atleast_2d(u).shape != (1, k) or np.atleast_2d(z).shape != (1, k):
+        raise ValidationError(f"need one u and one z per group ({k}), got shapes {u.shape} and {z.shape}")
+    if (u < 0).any():
+        raise ValidationError("u must be >= 0")
+    vals, bad = _pivot_values(groups, u.reshape(1, k), z.reshape(1, k))[method]
     if bad[0]:
         raise DegenerateDenominatorError("pivotal draw is not finite (zero denominator or overflow)")
     return float(vals[0])
 
 
 def tian_draw(study: Study | Sequence[SampleSummary], u: Sequence[float], z: Sequence[float]) -> float:
-    """One draw of the group-weighted pivotal (weights n_i - 1)."""
+    """One draw of the group-weighted pivotal (weights n_i - 1).
+
+    ``u`` and ``z`` hold one value per group: each u a finite real >= 0 and
+    each z a finite real, or ValidationError is raised.  A draw that is
+    not finite raises DegenerateDenominatorError.
+    """
     return _single_draw(group_arrays(_read_once(study)), Method.TIAN, u, z)
 
 
@@ -195,10 +204,12 @@ def new_method_draw(study: Study | Sequence[SampleSummary], u: Sequence[float], 
     z_common is the standard normal attached to the pooled estimate; it
     enters as per-group normals z_i = z_common*sqrt(n_i)/sqrt(n), for which
     sum_i sqrt(n_i)*z_i = sqrt(n)*z_common.  To pair a draw with given z_i
-    (as the engine does), pass sum_i sqrt(n_i)*z_i / sqrt(n).
+    (as the engine does), pass sum_i sqrt(n_i)*z_i / sqrt(n).  ``u`` is
+    checked as :func:`tian_draw` checks it, and z_common must be a finite
+    real number, or ValidationError is raised.
     """
     groups = group_arrays(_read_once(study))
-    z = z_common * np.sqrt(groups.ns) / math.sqrt(groups.ns.sum())
+    z = checked_real(z_common, "z_common") * np.sqrt(groups.ns) / math.sqrt(groups.ns.sum())
     return _single_draw(groups, Method.NEW, u, z)
 
 
@@ -222,7 +233,7 @@ def _resample(groups, method, base, rows, m, reducer):
             count += 1
             # run to the end, so that the spare normal is drawn before the next attempt
             for _, u, zg in _variate_slices(stream, groups.dfs, 1):
-                vals, bad = _pivot_values(groups, u, zg, (method,))[method]
+                vals, bad = _pivot_values(groups, u, zg)[method]
             if not bad[0]:
                 reducer.feed(int(r), vals, _NO_ROWS)
                 break
@@ -404,7 +415,7 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
         start = i * _BLOCK
         stream = base.substream(ROLE_PIVOT_BLOCK, i)
         for first, u, zg in _variate_slices(stream, groups.dfs, min(_BLOCK, m - start)):
-            feed(start + first, _pivot_values(groups, u, zg, methods))
+            feed(start + first, _pivot_values(groups, u, zg))
             del u, zg  # so the block's arrays are freed before its spare normals are drawn
 
     def fill(worker):
@@ -474,17 +485,15 @@ def quantile(draws: PivotalDraws | np.ndarray, p: float) -> float:
     """Lower empirical quantile: the ceil(p*m)-th order statistic (1-based).
 
     No interpolation; see :func:`_order_index` for the rank rule.  The
-    draws must be a non-empty 1-D array of finite values, or
+    draws must be a non-empty 1-D array of finite real numbers, or
     ValidationError is raised.  The caller's array is left as it was, so
     selecting costs one copy of it; :func:`intervals` keeps only the tails
     of its draws instead.
     """
     p = checked_real(p, "quantile level", 0.0, 1.0)
-    vals = draws.values if isinstance(draws, PivotalDraws) else np.asarray(draws, float)
+    vals = _reals(draws.values if isinstance(draws, PivotalDraws) else draws, "draws")
     if vals.ndim != 1 or vals.size == 0:
         raise ValidationError(f"need a non-empty 1-D array of draws, got shape {vals.shape}")
-    if not np.isfinite(vals).all():
-        raise ValidationError("draws must be finite")
     i = _order_index(p, vals.size)
     return float(np.partition(vals, i)[i])
 

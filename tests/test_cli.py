@@ -148,9 +148,9 @@ def _fail_new(monkeypatch):
     """Make 2% of every block degenerate for `new` alone: a rate error."""
     original = pivotal._pivot_values
 
-    def patched(groups, u, zg, requested):
-        pivots = original(groups, u, zg, requested)
-        if len(u) > 1 and Method.NEW in pivots:  # block pass only; leave resampling attempts clean
+    def patched(groups, u, zg):
+        pivots = original(groups, u, zg)
+        if len(u) > 1:  # block pass only; leave resampling attempts clean
             vals, bad = pivots[Method.NEW]
             bad = bad.copy()
             bad[: max(1, len(u) // 50)] = True

@@ -567,7 +567,11 @@ class TestGroupsReadOnce:
         groups = list(hospital.groups)
         assert estimate(iter(groups)) == estimate(groups) == estimate(hospital)
 
-    @pytest.mark.parametrize("estimate", ESTIMATES)
+    @pytest.mark.parametrize("estimate", [
+        *ESTIMATES,
+        pytest.param(lambda groups: log_likelihood(groups, (0.5, ())), id="log_likelihood"),
+        pytest.param(lambda groups: score_and_hessian(groups, (0.5, ())), id="score_and_hessian"),
+    ])
     @pytest.mark.parametrize("empty", [lambda: [], lambda: iter(())], ids=["list", "iterator"])
     def test_no_groups_rejected(self, estimate, empty):
         with warnings.catch_warnings():

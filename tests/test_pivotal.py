@@ -98,11 +98,31 @@ class TestDrawFormulas:
         ([4.0], [0.0, 0.0]),
         ([4.0, 4.0, 4.0], [0.0, 0.0, 0.0]),
         ([4.0, 4.0], [0.0]),
+        ([[4.0, 4.0], [4.0, 4.0]], [0.0, 0.0]),
+        (["a", "a"], [0.1, 0.1]),
+        ([4.0, 4.0], "x"),
+        ([4.0, 4.0], None),
+        ([4.0, 4.0], [1j, 0.0]),
+        ([np.inf, 4.0], [0.0, 0.0]),
+        ([4.0, np.nan], [0.0, 0.0]),
+        ([-1.0, 4.0], [0.0, 0.0]),
+        ([4.0, 4.0], [np.inf, 0.0]),
     ])
     def test_one_variate_per_group(self, u, z):
         gs = [SampleSummary(n=5, mean=2.0, sd=1.0), SampleSummary(n=5, mean=2.0, sd=1.0)]
         with pytest.raises(ValidationError):
             tian_draw(gs, u=u, z=z)
+
+    def test_shape_message_names_both_shapes(self):
+        gs = [SampleSummary(n=5, mean=2.0, sd=1.0), SampleSummary(n=5, mean=2.0, sd=1.0)]
+        with pytest.raises(ValidationError, match=r"per group \(2\), got shapes \(2, 2\) and \(2,\)$"):
+            tian_draw(gs, u=[[4.0, 4.0], [4.0, 4.0]], z=[0.0, 0.0])
+
+    @pytest.mark.parametrize("z_common", [*NOT_REAL, np.inf, np.nan])
+    def test_z_common_must_be_a_finite_real(self, z_common):
+        g = [SampleSummary(n=5, mean=2.0, sd=1.0)]
+        with pytest.raises(ValidationError, match="z_common"):
+            new_method_draw(g, u=[4.0], z_common=z_common)
 
     def test_new_single_group_hand_value(self):
         g = [SampleSummary(n=5, mean=2.0, sd=1.0)]
@@ -217,11 +237,11 @@ class TestDegenerateHandling:
     def _flag_first_rows(fraction, methods=(Method.TIAN, Method.NEW, Method.COMBINED)):
         original = pivotal._pivot_values
 
-        def patched(groups, u, zg, requested):
-            pivots = original(groups, u, zg, requested)
+        def patched(groups, u, zg):
+            pivots = original(groups, u, zg)
             b = len(u)
             if b > 1:  # block pass only; leave resampling attempts clean
-                for method in pivots.keys() & set(methods):
+                for method in methods:
                     vals, bad = pivots[method]
                     bad = bad.copy()
                     bad[: max(1, int(fraction * b))] = True
@@ -250,9 +270,9 @@ class TestDegenerateHandling:
         assert str(values[Method.NEW]) == "21 degenerate draws out of 2021 attempts; data look pathological"
 
     def test_unrecoverable_replicate(self, surveys, monkeypatch):
-        def always_bad(groups, u, zg, requested):
+        def always_bad(groups, u, zg):
             vals = np.zeros(len(u))
-            return {method: (vals, np.ones(len(u), dtype=bool)) for method in requested}
+            return {method: (vals, np.ones(len(u), dtype=bool)) for method in PIVOTAL}
 
         monkeypatch.setattr(pivotal, "_pivot_values", always_bad)
         with pytest.raises(DegenerateRateError):
@@ -354,8 +374,8 @@ class TestDrawsPinnedToBroadcastFormulas:
         original = pivotal._pivot_values
         single_calls = []
 
-        def patched(groups, u, zg, requested):
-            drawn = original(groups, u, zg, requested)
+        def patched(groups, u, zg):
+            drawn = original(groups, u, zg)
             if len(u) > 1:
                 flag = np.arange(len(u)) % 700 == 3
             else:
@@ -423,8 +443,8 @@ class TestBlocksOnThreads:
         groups, original = group_arrays(study), pivotal._pivot_values
         first_block = _block_variates(seed, 0, groups.dfs, _BLOCK)[0]
 
-        def patched(groups, u, zg, requested):
-            drawn = original(groups, u, zg, requested)
+        def patched(groups, u, zg):
+            drawn = original(groups, u, zg)
             flag = np.zeros(len(u), dtype=bool)
             if len(u) > 1:
                 flag[3] = not (first_block == u[0]).all(axis=1).any()
@@ -462,11 +482,11 @@ class TestBlocksOnThreads:
         third_block = third_block[:pivotal._SLICE]  # its first kernel pass
         original = pivotal._pivot_values
 
-        def fail_third_block(groups, u, zg, requested):
+        def fail_third_block(groups, u, zg):
             if u.shape == third_block.shape and np.array_equal(u, third_block):
                 raise RuntimeError("third block")
             time.sleep(0.05)  # the other passes are still running when it fails
-            return original(groups, u, zg, requested)
+            return original(groups, u, zg)
 
         monkeypatch.setattr(pivotal, "_WORKERS", workers)
         monkeypatch.setattr(pivotal, "_pivot_values", fail_third_block)
@@ -595,6 +615,8 @@ class TestQuantile:
         pytest.param([[1.0, 2.0], [3.0, 4.0]], id="2-D"),
         pytest.param([1.0, np.nan, 2.0], id="nan"),
         pytest.param([1.0, -np.inf], id="inf"),
+        pytest.param(["a", "b"], id="str"),
+        pytest.param([1 + 2j, 2.0], id="complex"),
     ])
     def test_rejects_bad_draws(self, values):
         with pytest.raises(ValidationError):

@@ -225,10 +225,10 @@ class TestFailureAccounting:
         clean = run_study(config(methods=methods))
         original = pivotal._pivot_values
 
-        def new_degenerate(groups, u, zg, requested):
+        def new_degenerate(groups, u, zg):
             # 2% of every block degenerate for `new` alone: a rate error
-            pivots = original(groups, u, zg, requested)
-            if len(u) > 1 and Method.NEW in pivots:
+            pivots = original(groups, u, zg)
+            if len(u) > 1:
                 vals = pivots[Method.NEW][0]
                 pivots[Method.NEW] = vals, np.arange(len(u)) < 0.02 * len(u)
             return pivots

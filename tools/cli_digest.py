@@ -48,6 +48,7 @@ def calls() -> list[list[str]]:
             ]
     argvs += [
         ["ci", *hospital, "--method", "vj"],
+        ["ci", *hospital, "--method", "tian", "--json"],
         ["ci", *surveys, "--level", "0.9", "--method", "new"],
         ["test", *surveys, "--null", "0.05", "--method", "combined", "--alternative", "less"],
         ["test", *hospital, "--null", "0.6", "--method", "vj"],
@@ -59,6 +60,7 @@ def calls() -> list[list[str]]:
     return argvs + [
         simulate,
         [*simulate, "--out", f"{TMP}/out.csv"],
+        [*simulate, "--method", "tian"],
         ["ci", *surveys, "--method", "bogus"],
         ["ci", "--input", f"{TMP}/missing.csv"],
     ]
