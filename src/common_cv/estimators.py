@@ -35,7 +35,7 @@ _Q_MAX = 2.0**510  # largest q_i searched: with p and every q_i at most 2^510, n
 
 def group_cvs(study: Study | Sequence[SampleSummary]) -> np.ndarray:
     """Per-group sample coefficients of variation sd_i/mean_i."""
-    g = group_arrays(study)
+    g = group_arrays(_read_once(study))
     return g.sds / g.means
 
 
@@ -58,17 +58,25 @@ def new_estimate(study: Study | Sequence[SampleSummary]) -> float:
     return float(np.sum(ns)) / denom
 
 
-def _theta_arrays(theta: ParameterVector | tuple, k: int) -> tuple[float, np.ndarray]:
-    """(phi, sigmas as an array) of a ParameterVector or a (phi, sigmas)
-    pair, checked by ParameterVector, with one sigma for each of k groups;
-    anything else raises ValidationError."""
+def _theta_arrays(study: Study | Sequence[SampleSummary], theta: ParameterVector | tuple) -> tuple:
+    """(ns, means, phi, sigmas, resid, ss) of the likelihood at theta.
+
+    The groups are read once first, so no groups raise TooFewGroupsError
+    whatever theta is.  theta, a ParameterVector or a (phi, sigmas) pair,
+    is checked by ParameterVector and must hold one sigma for each group;
+    anything else raises ValidationError.  resid_i = mean_i - sigma_i/phi
+    and ss_i = (n_i-1)*sd_i^2 + n_i*resid_i^2, as in the module docstring.
+    """
+    ns, means, sds, _ = group_arrays(_read_once(study))
     if not isinstance(theta, ParameterVector):
         if not isinstance(theta, (Sequence, np.ndarray)) or len(theta) != 2:
             raise ValidationError(f"theta must be a ParameterVector or a (phi, sigmas) pair, got {theta!r}")
         theta = ParameterVector(*theta)
-    if len(theta.sigmas) != k:
-        raise ValidationError(f"need one sigma per group ({k}), got {len(theta.sigmas)}")
-    return theta.phi, np.asarray(theta.sigmas, dtype=float)
+    if len(theta.sigmas) != len(ns):
+        raise ValidationError(f"need one sigma per group ({len(ns)}), got {len(theta.sigmas)}")
+    sig = np.asarray(theta.sigmas, dtype=float)
+    resid = means - sig / theta.phi  # d(resid)/d(phi) = sig/phi^2, d/d(sigma_i) = -1/phi
+    return ns, means, theta.phi, sig, resid, (ns - 1.0) * sds**2 + ns * resid**2
 
 
 def log_likelihood(study: Study | Sequence[SampleSummary], theta: ParameterVector | tuple) -> float:
@@ -80,12 +88,8 @@ def log_likelihood(study: Study | Sequence[SampleSummary], theta: ParameterVecto
     raise ValidationError; so does a sigma count other than the study's k.
     No groups at all raise TooFewGroupsError.
     """
-    ns, means, sds, _ = group_arrays(_read_once(study))
-    phi, sig = _theta_arrays(theta, len(ns))
-    constant = 0.5 * float(ns.sum()) * math.log(2.0 * math.pi)
-    resid = means - sig / phi
-    ss = (ns - 1.0) * sds**2 + ns * resid * resid
-    return float(np.sum(-ns * np.log(sig) - ss / (2.0 * sig * sig)) - constant)
+    ns, _, _, sig, _, ss = _theta_arrays(study, theta)
+    return float(np.sum(-ns * np.log(sig) - ss / (2.0 * sig * sig)) - 0.5 * float(ns.sum()) * math.log(2.0 * math.pi))
 
 
 def score_and_hessian(
@@ -97,11 +101,7 @@ def score_and_hessian(
     diagonal because groups only interact through phi.  theta and the
     groups are checked as :func:`log_likelihood` checks them.
     """
-    ns, means, sds, _ = group_arrays(_read_once(study))
-    k = len(ns)
-    phi, sig = _theta_arrays(theta, k)
-    resid = means - sig / phi  # d(resid)/d(phi) = sig/phi^2, d/d(sigma_i) = -1/phi
-    ss = (ns - 1.0) * sds**2 + ns * resid**2
+    ns, means, phi, sig, resid, ss = _theta_arrays(study, theta)
 
     g_phi = float(np.sum(-ns * resid / (sig * phi**2)))
     g_sig = -ns / sig + ss / sig**3 + ns * resid / (sig**2 * phi)
@@ -110,13 +110,9 @@ def score_and_hessian(
     h_phisig = ns * means / (phi**2 * sig**2)
     h_sigsig = ns / sig**2 - 3.0 * ss / sig**4 - 4.0 * ns * resid / (phi * sig**3) - ns / (phi**2 * sig**2)
 
-    gradient = np.concatenate(([g_phi], g_sig))
-    hessian = np.zeros((k + 1, k + 1))
-    hessian[0, 0] = h_phiphi
-    hessian[0, 1:] = h_phisig
-    hessian[1:, 0] = h_phisig
-    hessian[np.arange(1, k + 1), np.arange(1, k + 1)] = h_sigsig
-    return gradient, hessian
+    hessian = np.diag((h_phiphi, *h_sigsig))
+    hessian[0, 1:] = hessian[1:, 0] = h_phisig
+    return np.concatenate(([g_phi], g_sig)), hessian
 
 
 def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:

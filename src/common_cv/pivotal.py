@@ -209,7 +209,7 @@ def new_method_draw(study: Study | Sequence[SampleSummary], u: Sequence[float], 
     real number, or ValidationError is raised.
     """
     groups = group_arrays(_read_once(study))
-    z = checked_real(z_common, "z_common") * np.sqrt(groups.ns) / math.sqrt(groups.ns.sum())
+    z = checked_real(z_common, "z_common") * (np.sqrt(groups.ns) / math.sqrt(groups.ns.sum()))
     return _single_draw(groups, Method.NEW, u, z)
 
 
@@ -226,8 +226,6 @@ def _resample(groups, method, base, rows, m, reducer):
     a replicate's own attempts always run to the end."""
     count = 0
     for r in rows:
-        if count / (m + count) >= _MAX_REJECTED_FRACTION:
-            break
         stream = base.substream(ROLE_RESAMPLE, int(r))
         for _ in range(_MAX_RESAMPLE_ATTEMPTS):
             count += 1
@@ -241,10 +239,10 @@ def _resample(groups, method, base, rows, m, reducer):
             return count, DegenerateRateError(
                 f"replicate {int(r)} stayed degenerate after {_MAX_RESAMPLE_ATTEMPTS} attempts"
             )
-    if count / (m + count) >= _MAX_REJECTED_FRACTION:
-        return count, DegenerateRateError(
-            f"{count} degenerate draws out of {m + count} attempts; data look pathological"
-        )
+        if count / (m + count) >= _MAX_REJECTED_FRACTION:
+            return count, DegenerateRateError(
+                f"{count} degenerate draws out of {m + count} attempts; data look pathological"
+            )
     return count, None
 
 

@@ -94,12 +94,15 @@ def mix_components(*components: int) -> int:
 class SeededStream:
     """Random stream fully determined by ``(master_seed, stream_id)``.
 
-    The generator is built on the first draw, so a stream used only to
-    derive sub-streams costs no more than folding their ids.
+    ``master_seed`` is checked by :func:`checked_seed`, so a seed outside
+    [0, 2^64) raises ValidationError rather than folding onto another
+    seed's stream; ``stream_id`` is folded to 64 bits.  The generator is
+    built on the first draw, so a stream used only to derive sub-streams
+    costs no more than folding their ids.
     """
 
     def __init__(self, master_seed: int, stream_id: int = 0):
-        self.master_seed = int(master_seed) & _MASK64
+        self.master_seed = checked_seed(master_seed)
         self.stream_id = int(stream_id) & _MASK64
         self._generator = None
 

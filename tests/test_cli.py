@@ -327,6 +327,13 @@ class TestCi:
         assert err.startswith("common-cv: numerical failure: ") and "Traceback" not in err
         assert len(out.splitlines()) == lines_before
 
+    def test_estimate_where_inverse_cvs_sum_to_zero(self, capsys, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("group,n,mean,sd\na,2,1.0,1.0\nb,2,-1.0,1.0\n")
+        code, out, err = run(capsys, "estimate", "--input", str(path), "--summary")
+        assert (code, out) == (2, "")
+        assert err == "common-cv: numerical failure: weighted inverse CVs sum to zero\n"
+
     def test_huge_group_cv_is_estimated(self, capsys, tmp_path):
         # a group CV of 1e50 beside 0.4: q_i = 8e99 is inside the MLE's bound
         path = tmp_path / "huge.csv"

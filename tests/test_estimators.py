@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 from common_cv import estimators
 from common_cv.errors import (
+    DegenerateDenominatorError,
     NoConvergenceError,
     NonPositiveSigmaError,
     NumericalError,
@@ -50,13 +51,18 @@ HOSPITAL_MLE = (0.60148473, (91.065665, 47.14074, 25.305681, 91.536011), -124.04
 PAIR_MLE = (0.31220289, (0.677612, 0.886868), -14.24094546)
 WIDE_MLE = (0.45376740, (2.4871, 11.197559), -60.67504775)
 CV3_MLE = (0.97296113, (2.395415, 0.610457), -16.08943342)
-# the studies of PROFILE_ROOTS_60 other than the bundled ones: a pair, and
-# one huge group CV beside an ordinary or a large one, every q_i <= 2^510
+# the studies of PROFILE_ROOTS_60 other than the bundled ones: a pair, one
+# huge group CV beside an ordinary or a large one, every q_i <= 2^510, and
+# mixed-sign means, whose root can lie above every q_i
 ROOT_STUDIES = {
     "pair": [(5, 2.0, 1.0), (7, 3.0, 0.6)],
     **{f"sd {sd} beside 0.4": [(5, 1.0, float(sd)), (7, 2.0, 0.4)] for sd in ("1e16", "1e17", "1e30", "1e50")},
     "sd 1e50 beside 1e20": [(5, 1.0, 1e50), (7, 2.0, 1e20)],
     "sd 1e76 beside 1e77": [(5, 1.0, 1e76), (7, 2.0, 1e77)],
+    "mixed pair": [(5, 2.0, 1.0), (7, -3.0, 0.6)],
+    "mixed three": [(10, 5.0, 1.0), (8, 4.0, 1.5), (6, -1.0, 2.0)],
+    **{f"mixed CV {sd:g}": [(20, 1.0, sd), (5, -1.0, sd)] for sd in (3.0, 30.0)},
+    "mixed 10 beside 9": [(10, 1.0, 1.0), (9, -1.0, 1.0)],
 }
 # roots of the profile score to 60 digits, printed by
 # tests/oracles/mle_roots_60.py (mpmath bisection on log p at 70 digits)
@@ -70,6 +76,11 @@ PROFILE_ROOTS_60 = {
     "sd 1e50 beside 0.4": "1.1511940815566585983331182881833592355425872335362265168487",
     "sd 1e50 beside 1e20": "79356008551932982419.9914379928849086194336890356582941233835",
     "sd 1e76 beside 1e77": "1.68958333649850444972240119554884383521369057428213343917486e+76",
+    "mixed pair": "-2.76232638766670341962543570433937105406380792272613115194125",
+    "mixed three": "0.888789078537579898808546310829694528105370341891191065306486",
+    "mixed CV 3": "5.00159297659352966838391968686726963086439321176890061415511",
+    "mixed CV 30": "50.2333026585944675750417326721155564401461555979718545754592",
+    "mixed 10 beside 9": "19.7987214116498053091143686122582085352363789111559035880799",
 }
 # newton_mle's message when a q_i is not a finite positive float <= 2^510
 NOT_FINITE_Q = r"not a finite positive float <= 2\^510"
@@ -145,6 +156,17 @@ class TestPooledEstimates:
         new = new_estimate(groups)
         eps = 1e-12 * max(cvs)
         assert min(cvs) - eps <= new <= fm + eps <= max(cvs) + 2 * eps
+
+    @pytest.mark.parametrize("estimate", [
+        pytest.param(new_estimate, id="new"),
+        pytest.param(newton_mle, id="mle"),
+        pytest.param(lambda groups: vj_interval(groups, 0.95), id="vj"),
+    ])
+    def test_inverse_cvs_summing_to_zero(self, estimate):
+        # n*mean/sd is +2 and -2: the weighted inverse CVs cancel exactly
+        groups = study_of([2, 2], [1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(DegenerateDenominatorError, match="^weighted inverse CVs sum to zero$"):
+            estimate(groups)
 
 
 class TestLogLikelihood:
@@ -569,6 +591,7 @@ class TestGroupsReadOnce:
 
     @pytest.mark.parametrize("estimate", [
         *ESTIMATES,
+        pytest.param(group_cvs, id="group_cvs"),
         pytest.param(lambda groups: log_likelihood(groups, (0.5, ())), id="log_likelihood"),
         pytest.param(lambda groups: score_and_hessian(groups, (0.5, ())), id="score_and_hessian"),
     ])

@@ -17,7 +17,7 @@ from common_cv.errors import (
     TooFewGroupsError,
     ValidationError,
 )
-from common_cv.model import Alternative, Method, SampleSummary, Study, group_arrays
+from common_cv.model import Alternative, IntervalResult, Method, SampleSummary, Study, group_arrays
 from common_cv.pivotal import (
     _BLOCK,
     _MAX_DRAWS,
@@ -123,6 +123,10 @@ class TestDrawFormulas:
         g = [SampleSummary(n=5, mean=2.0, sd=1.0)]
         with pytest.raises(ValidationError, match="z_common"):
             new_method_draw(g, u=[4.0], z_common=z_common)
+
+    def test_large_finite_z_common_does_not_overflow(self, hospital):
+        # each z_i is z_common scaled by sqrt(n_i/n) <= 1, so stays finite
+        assert str(new_method_draw(hospital, u=[1.0] * 4, z_common=1e308)) == "-0.0"
 
     def test_new_single_group_hand_value(self):
         g = [SampleSummary(n=5, mean=2.0, sd=1.0)]
@@ -955,6 +959,15 @@ class TestFrontDoor:
             assert {m: r for m, r in results.items() if m is not Method.VERRILL_JOHNSON} == intervals(
                 study, self.PIVOTAL, 0.95, 1000, seed=0
             )
+
+    def test_vj_fails_where_inverse_cvs_sum_to_zero(self):
+        study = Study(groups=((2, 1.0, 1.0), (2, -1.0, 1.0)))
+        results = intervals(study, self.ALL, 0.95, 1000, seed=0)
+        vj = results.pop(Method.VERRILL_JOHNSON)
+        assert isinstance(vj, DegenerateDenominatorError)
+        assert str(vj) == "weighted inverse CVs sum to zero"
+        assert results == intervals(study, self.PIVOTAL, 0.95, 1000, seed=0)
+        assert all(isinstance(r, IntervalResult) for r in results.values())
 
     def test_failed_method_maps_to_its_error(self, surveys, monkeypatch):
         clean = intervals(surveys, self.ALL, 0.95, 2000, seed=0)

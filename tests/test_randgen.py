@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from common_cv.errors import InvalidDfError
+from common_cv.errors import InvalidDfError, ValidationError
 from common_cv.randgen import (
     ROLE_PIVOT_BLOCK,
     ROLE_RESAMPLE,
@@ -118,6 +118,12 @@ class TestStreamDerivation:
         seq = np.random.SeedSequence([11, mix_components(5, ROLE_PIVOT_BLOCK, 2)])
         rng = np.random.Generator(np.random.PCG64(seq))
         assert np.array_equal(child.standard_normal(20), rng.standard_normal(20))
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 1.5, True, "a"])
+    def test_master_seed_outside_the_seed_range_rejected(self, seed):
+        # none is folded onto another seed's stream
+        with pytest.raises(ValidationError, match="^seed must be"):
+            SeededStream(seed)
 
     def test_roles_distinct(self):
         roles = {ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, ROLE_SIM_DATA, ROLE_SIM_PIVOTS}

@@ -58,8 +58,9 @@ def test_prints_each_file_and_the_total(tmp_path):
 
 
 # calls that fail: a test of the non-pivotal vj and an unknown method are
-# usage errors, a missing input file an i/o error
-FAILING_CALLS = {"--null 0.6 --method vj": "1", "--method bogus": "1", "missing.csv": "3"}
+# usage errors, inverse CVs that sum to zero a numerical failure, a missing
+# input file an i/o error
+FAILING_CALLS = {"--null 0.6 --method vj": "1", "--method bogus": "1", "zero.csv": "2", "missing.csv": "3"}
 
 
 def test_cli_digest_one_line_per_call_on_every_run():

@@ -32,6 +32,7 @@ GRID = (
     "0.5,1e308,1e308,5,5\n"  # the simulated data overflow
     "0.05,10.0,20.0,20,30\n"
 )
+ZERO = "group,n,mean,sd\na,2,1.0,1.0\nb,2,-1.0,1.0\n"  # n*mean/sd sums to zero
 
 
 def calls() -> list[list[str]]:
@@ -61,6 +62,7 @@ def calls() -> list[list[str]]:
         simulate,
         [*simulate, "--out", f"{TMP}/out.csv"],
         [*simulate, "--method", "tian"],
+        ["estimate", "--input", f"{TMP}/zero.csv", "--summary"],
         ["ci", *surveys, "--method", "bogus"],
         ["ci", "--input", f"{TMP}/missing.csv"],
     ]
@@ -98,6 +100,7 @@ def main(argv: list[str]) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "grid.csv").write_text(GRID)
+        Path(tmp, "zero.csv").write_text(ZERO)
         for call in calls():
             code, digest = run(cli_main, call, {TMP: tmp, SRC: str(src)})
             print(f"{code} {digest} {shlex.join(call)}")
