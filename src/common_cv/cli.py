@@ -47,6 +47,9 @@ _TEST_LINE = (
     "method={method:<9} null={null:g} alternative={alternative} draws={draws} seed={seed} "
     "p_value={p_value:.6f}"
 )
+# estimate's group table row, whose header drops the precision, and its pooled block
+_GROUP_LINE = "{group:<12} {n:>5} {mean:>12.4f} {sd:>12.4f} {cv:>10.4f}"
+_POOLED_KEYS = ("feltz_miller", "new", "mle")
 # the simulate CSV's columns after the cell's own
 _PERFORMANCE_KEYS = ("method", "coverage", "avg_length", "failures")
 
@@ -151,16 +154,12 @@ def _load_study(args) -> Study:
     return reader(_source(args.input))
 
 
-def _group_rows(study: Study):
-    for label, g, cv in zip(study.labels, study.groups, group_cvs(study)):
-        yield {"group": label, "n": g.n, "mean": g.mean, "sd": g.sd, "cv": cv}
-
-
 def _estimates(study: Study) -> dict:
     """The group table and the three point estimates, as one JSON record."""
     mle = newton_mle(study)
+    rows = zip(study.labels, study.groups, group_cvs(study))
     return {
-        "groups": list(_group_rows(study)),
+        "groups": [{"group": label, "n": g.n, "mean": g.mean, "sd": g.sd, "cv": cv} for label, g, cv in rows],
         "feltz_miller": feltz_miller_estimate(study),
         "new": new_estimate(study),
         "mle": mle.phi,
@@ -169,16 +168,12 @@ def _estimates(study: Study) -> dict:
 
 
 def _print_estimates(study: Study, est: dict):
-    print(f"{'group':<12} {'n':>5} {'mean':>12} {'sd':>12} {'cv':>10}")
+    print(_GROUP_LINE.replace(".4f", "").format_map({key: key for key in est["groups"][0]}))
     for row in est["groups"]:
-        print(
-            f"{row['group']:<12} {row['n']:>5} {row['mean']:>12.4f} "
-            f"{row['sd']:>12.4f} {row['cv']:>10.4f}"
-        )
+        print(_GROUP_LINE.format_map(row))
     print(f"\npooled estimates (k={study.k}, n={study.n}):")
-    print(f"  feltz_miller  {est['feltz_miller']:.6f}")
-    print(f"  new           {est['new']:.6f}")
-    print(f"  mle           {est['mle']:.6f}")
+    for key in _POOLED_KEYS:
+        print(f"  {key:<13} {est[key]:.6f}")
 
 
 def _cmd_estimate(args) -> int:

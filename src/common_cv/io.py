@@ -33,15 +33,13 @@ from .errors import (
 )
 from .model import SampleSummary, Study, summarize
 
-RAW_HEADER = ["group", "value"]
-SUMMARY_HEADER = ["group", "n", "mean", "sd"]
 
+def _rows(source, columns):
+    """Yield each nonblank data row's fields, stripped and parsed, in column order.
 
-def _rows(source, expected_header):
-    """Yield (line number, stripped fields) for each nonblank data row.
-
-    ``expected_header`` is the header list, or a function from the file's
-    header to the list it must equal (for layouts of varying width).
+    ``columns`` is the layout's (name, parser) pairs, or a function from the
+    file's header to them (for layouts of varying width).  The header must
+    list the names; each parser takes a field and its line number.
     """
     try:
         if hasattr(source, "read"):
@@ -56,21 +54,26 @@ def _rows(source, expected_header):
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise MalformedHeaderError("empty input, expected a header row") from None
-    if callable(expected_header):
-        expected_header = expected_header(header)
-    if header != expected_header:
-        raise MalformedHeaderError(
-            f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-        )
+    if callable(columns):
+        columns = columns(header)
+    names = [name for name, _ in columns]
+    if header != names:
+        raise MalformedHeaderError(f"expected header {','.join(names)!r}, got {','.join(header)!r}")
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # ignore blank lines
-        if len(row) != len(expected_header):
+        if len(row) != len(columns):
             raise ValidationError(
-                f"line {lineno}: expected {len(expected_header)} fields, got {len(row)}; "
+                f"line {lineno}: expected {len(columns)} fields, got {len(row)}; "
                 "the row does not match the header"
             )
-        yield lineno, [f.strip() for f in row]
+        yield [parse(field.strip(), lineno) for (_, parse), field in zip(columns, row)]
+
+
+def _parse_label(field, lineno):
+    if not field:
+        raise ValidationError(f"line {lineno}: empty group label")
+    return field
 
 
 def _parse_float(field, lineno):
@@ -93,58 +96,60 @@ def _parse_count(field, lineno):
     return n
 
 
+# Each layout's columns: (name, parser) in header order.
+_RAW_COLUMNS = (("group", _parse_label), ("value", _parse_float))
+_SUMMARY_COLUMNS = (("group", _parse_label), ("n", _parse_count), ("mean", _parse_float), ("sd", _parse_float))
+
+
+def _grid_columns(k: int):
+    means = [(f"mu{i + 1}", _parse_float) for i in range(k)]
+    counts = [(f"n{i + 1}", _parse_count) for i in range(k)]
+    return (("phi", _parse_float), *means, *counts)
+
+
 def read_raw_csv(source) -> Study:
     """Parse ``group,value`` rows into a Study, one group per label."""
     by_group: dict[str, list[float]] = {}
-    for lineno, (label, field) in _rows(source, RAW_HEADER):
-        if not label:
-            raise ValidationError(f"line {lineno}: empty group label")
-        by_group.setdefault(label, []).append(_parse_float(field, lineno))
+    for label, value in _rows(source, _RAW_COLUMNS):
+        by_group.setdefault(label, []).append(value)
     return Study(tuple(summarize(vals, label=lab) for lab, vals in by_group.items()))
 
 
 def read_summary_csv(source) -> Study:
     """Parse ``group,n,mean,sd`` rows into a Study."""
-    groups = []
-    for lineno, (label, n_field, mean_field, sd_field) in _rows(source, SUMMARY_HEADER):
-        if not label:
-            raise ValidationError(f"line {lineno}: empty group label")
-        n = _parse_count(n_field, lineno)
-        mean = _parse_float(mean_field, lineno)
-        sd = _parse_float(sd_field, lineno)
-        groups.append(SampleSummary(n=n, mean=mean, sd=sd, label=label))
-    return Study(tuple(groups))
+    rows = _rows(source, _SUMMARY_COLUMNS)
+    return Study(tuple(SampleSummary(n=n, mean=mean, sd=sd, label=label) for label, n, mean, sd in rows))
 
 
 def grid_header(k: int) -> list[str]:
     """Header of a simulation grid with k groups: phi,mu1..muK,n1..nK."""
-    return ["phi", *(f"mu{i + 1}" for i in range(k)), *(f"n{i + 1}" for i in range(k))]
+    return [name for name, _ in _grid_columns(k)]
 
 
 def read_grid_csv(source) -> list[tuple[float, tuple[float, ...], tuple[int, ...]]]:
     """Parse ``phi,mu1..muK,n1..nK`` rows into (phi, mus, ns) cells (at least one)."""
     cells = []
-    for lineno, fields in _rows(source, lambda header: grid_header((len(header) - 1) // 2)):
-        k = (len(fields) - 1) // 2
-        cells.append((
-            _parse_float(fields[0], lineno),
-            tuple(_parse_float(v, lineno) for v in fields[1 : k + 1]),
-            tuple(_parse_count(v, lineno) for v in fields[k + 1 :]),
-        ))
+    for phi, *fields in _rows(source, lambda header: _grid_columns((len(header) - 1) // 2)):
+        k = len(fields) // 2
+        cells.append((phi, tuple(fields[:k]), tuple(fields[k:])))
     if not cells:
         raise ValidationError("grid has no cells")
     return cells
 
 
-def write_summary_csv(study: Study, dest) -> None:
-    """Write a Study in the ``group,n,mean,sd`` layout.
+def write_summary_csv(study, dest) -> None:
+    """Write a Study, or any iterable of groups it accepts, in the
+    ``group,n,mean,sd`` layout.
 
-    Floats are written in shortest round-trip form, so reading the file
-    back reproduces the study (and therefore all inference results) exactly.
+    The groups are checked before ``dest`` is opened, so a bad study writes
+    no file.  Floats are written in shortest round-trip form, so reading the
+    file back reproduces the study (and therefore all inference results)
+    exactly.
     """
+    study = study if isinstance(study, Study) else Study(study)
     with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
+        writer.writerow(name for name, _ in _SUMMARY_COLUMNS)
         for label, g in zip(study.labels, study.groups):
             writer.writerow([label, g.n, repr(g.mean), repr(g.sd)])
 

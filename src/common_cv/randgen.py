@@ -63,15 +63,16 @@ def checked_real(value, what: str, low=-math.inf, high=math.inf, error=Validatio
     return x
 
 
-def checked_seed(seed) -> int:
+def checked_seed(seed, what: str = "seed") -> int:
     """``seed`` as a plain int if it is an integer in [0, 2^64).
 
-    Anything else raises ValidationError: a float, a bool, or an int the
-    64-bit stream id would fold onto another seed's stream.
+    Anything else raises ValidationError naming ``what``: a float, a bool,
+    or an int that a 64-bit fold would map onto another value's stream.
+    Stream ids and sub-stream components are checked the same way.
     """
-    value = checked_int(seed, "seed")
+    value = checked_int(seed, what)
     if not 0 <= value <= _MASK64:
-        raise ValidationError(f"seed must be in [0, 2^64), got {value}")
+        raise ValidationError(f"{what} must be in [0, 2^64), got {value}")
     return value
 
 
@@ -84,26 +85,27 @@ def _splitmix64(x: int) -> int:
 
 
 def mix_components(*components: int) -> int:
-    """Fold integers into one 64-bit identifier, order-sensitively."""
+    """Fold integers in [0, 2^64) into one 64-bit identifier,
+    order-sensitively; any other component raises ValidationError."""
     acc = 0
     for c in components:
-        acc = _splitmix64(acc ^ (int(c) & _MASK64))
+        acc = _splitmix64(acc ^ checked_seed(c, "a sub-stream component"))
     return acc
 
 
 class SeededStream:
     """Random stream fully determined by ``(master_seed, stream_id)``.
 
-    ``master_seed`` is checked by :func:`checked_seed`, so a seed outside
-    [0, 2^64) raises ValidationError rather than folding onto another
-    seed's stream; ``stream_id`` is folded to 64 bits.  The generator is
-    built on the first draw, so a stream used only to derive sub-streams
-    costs no more than folding their ids.
+    ``master_seed`` and ``stream_id`` are checked by :func:`checked_seed`,
+    so a value outside [0, 2^64) raises ValidationError rather than folding
+    onto another value's stream.  The generator is built on the first draw,
+    so a stream used only to derive sub-streams costs no more than folding
+    their ids.
     """
 
     def __init__(self, master_seed: int, stream_id: int = 0):
         self.master_seed = checked_seed(master_seed)
-        self.stream_id = int(stream_id) & _MASK64
+        self.stream_id = checked_seed(stream_id, "stream_id")
         self._generator = None
 
     @property
@@ -119,9 +121,10 @@ class SeededStream:
     def substream(self, *components: int) -> "SeededStream":
         """Derive the child stream for a work unit.
 
-        The child's id is ``mix(stream_id, *components)``; the master seed
-        is inherited, so the child is reproducible from the same tuple
-        regardless of how many draws the parent has made.
+        The child's id is ``mix(stream_id, *components)``, each component
+        an integer in [0, 2^64); the master seed is inherited, so the child
+        is reproducible from the same tuple regardless of how many draws the
+        parent has made.
         """
         return SeededStream(self.master_seed, mix_components(self.stream_id, *components))
 

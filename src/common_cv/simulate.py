@@ -52,8 +52,9 @@ class SimConfig:
         object.__setattr__(self, "reps", checked_int(self.reps, "reps"))
         object.__setattr__(self, "methods", tuple(_iterated(self.methods, "methods")))
         object.__setattr__(self, "master_seed", checked_seed(self.master_seed))
+        object.__setattr__(self, "m", checked_int(self.m, "the number of draws"))
         if any(method in PIVOTAL_METHODS for method in self.methods):
-            object.__setattr__(self, "m", _draw_args(self.m, self.master_seed)[0])
+            _draw_args(self.m, self.master_seed)
         if len(self.mus) < 2 or len(self.mus) != len(self.ns):
             raise ValidationError(
                 f"need matching mus/ns with at least 2 groups, got {len(self.mus)} and {len(self.ns)}"
@@ -107,8 +108,7 @@ class _Tally:
         self.covered, self.length_sum, self.failures = 0, 0.0, 0
 
     def add(self, interval, target: float):
-        """Count one replication's interval, or a failure for anything else
-        (its error, or None when the dataset was degenerate)."""
+        """Count one replication's interval, or a failure for its error."""
         if isinstance(interval, IntervalResult):
             self.covered += interval.contains(target)
             self.length_sum += interval.length
@@ -140,9 +140,9 @@ def run_study(config: SimConfig) -> SimResult:
     for r in range(config.reps):
         try:
             study = _simulate_study(config, root.substream(ROLE_SIM_DATA, 0, r))
-        except (ValidationError, NumericalError):
+        except (ValidationError, NumericalError) as exc:
             # Data that cannot be summarized (zero mean or spread, an overflowing sum) fail every method.
-            found = dict.fromkeys(config.methods)
+            found = dict.fromkeys(config.methods, exc)
         else:
             pivot_seed = mix_components(config.master_seed, ROLE_SIM_PIVOTS, 0, r)
             found = intervals(study, config.methods, config.level, config.m, pivot_seed)
@@ -156,7 +156,7 @@ def run_grid(configs) -> list[SimResult]:
     """Run every cell, in order; a cell-level error is recorded in its row
     rather than aborting the rest of the grid."""
     results = []
-    for config in configs:
+    for config in _iterated(configs, "configs"):
         try:
             results.append(run_study(config))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract

@@ -205,6 +205,21 @@ class TestRoundTrip:
             (6, 4.0, 0.75),
         ]
 
+    def test_any_iterable_of_groups_written(self, tmp_path):
+        path = tmp_path / "records.csv"
+        records = [(5, 1.0, 0.2, "a"), (6, 2.0, 0.3, "b")]
+        write_summary_csv(records, path)
+        assert read_summary_csv(path) == Study(groups=records)
+        write_summary_csv(iter(records), path)  # read once
+        assert read_summary_csv(path) == Study(groups=records)
+
+    @pytest.mark.parametrize("groups, error", [([], TooFewGroupsError), (5, ValidationError)])
+    def test_bad_study_writes_no_file(self, tmp_path, groups, error):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(error):
+            write_summary_csv(groups, path)
+        assert not path.exists()
+
     def test_write_to_file_like_leaves_it_open(self, surveys):
         buf = io.StringIO()
         write_summary_csv(surveys, buf)

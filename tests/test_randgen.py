@@ -125,6 +125,26 @@ class TestStreamDerivation:
         with pytest.raises(ValidationError, match="^seed must be"):
             SeededStream(seed)
 
+    @pytest.mark.parametrize("stream_id", [2**64 + 3, -1, 1.5, True, "a"])
+    def test_stream_id_outside_the_seed_range_rejected(self, stream_id):
+        # were folded onto ids 3, 2^64 - 1, 1 and 1, and "a" a bare ValueError
+        with pytest.raises(ValidationError, match="^stream_id must be"):
+            SeededStream(0, stream_id)
+
+    @pytest.mark.parametrize("component", [2**64, -1, 1.5, True, "a"])
+    def test_substream_component_outside_the_seed_range_rejected(self, component):
+        # substream(-1) drew substream(2**64 - 1)'s stream, 1.5 and True substream(1)'s
+        with pytest.raises(ValidationError, match="^a sub-stream component must be"):
+            SeededStream(0).substream(ROLE_RESAMPLE, component)
+        with pytest.raises(ValidationError, match="^a sub-stream component must be"):
+            mix_components(1, component)
+
+    def test_integer_ids_and_components_accepted(self):
+        top = 2**64 - 1
+        assert SeededStream(0, np.uint64(top)).stream_id == top
+        child = SeededStream(0).substream(np.int64(2), top)
+        assert child.stream_id == mix_components(0, 2, top)
+
     def test_roles_distinct(self):
         roles = {ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, ROLE_SIM_DATA, ROLE_SIM_PIVOTS}
         assert len(roles) == 4

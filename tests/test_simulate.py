@@ -61,6 +61,8 @@ class TestSimConfig:
             dict(mus=1.0),  # not iterable: was a bare TypeError
             dict(ns=5),
             dict(methods=Method.TIAN),
+            dict(m="x", methods=(Method.VERRILL_JOHNSON,)),  # was stored, and printed as draws
+            dict(m=2.5, methods=(Method.VERRILL_JOHNSON,)),
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -171,6 +173,13 @@ class TestRunStudy:
         assert res.error is None
         assert [perf.failures for perf in res.performance.values()] == [3] * len(ALL_METHODS)
 
+    def test_degenerate_data_fail_every_method_with_the_summarize_error(self, monkeypatch):
+        tallied = []
+        monkeypatch.setattr(simulate._Tally, "add", lambda self, interval, target: tallied.append(interval))
+        run_study(SimConfig(phi=0.5, mus=(1e308, 1e308), ns=(5, 5), reps=2, m=100))
+        assert len(tallied) == 2 * len(ALL_METHODS)
+        assert all(isinstance(found, (ValidationError, NumericalError)) for found in tallied)
+
     def test_every_replication_overflowing(self):
         # reads as an all-degenerate cell: every replication failed, coverage nan
         res = run_grid([SimConfig(phi=1.0, mus=(1e300,) * 3, ns=(10, 10, 10), reps=5, m=100)])[0]
@@ -244,6 +253,12 @@ class TestFailureAccounting:
 class TestRunGrid:
     def test_empty(self):
         assert run_grid([]) == []
+
+    @pytest.mark.parametrize("configs", [5, None])
+    def test_configs_not_iterable(self, configs):
+        # was a bare TypeError
+        with pytest.raises(ValidationError, match="^configs must be iterable"):
+            run_grid(configs)
 
     def test_preserves_order_and_echoes_config(self):
         configs = [config(phi=0.2), config(phi=0.4)]

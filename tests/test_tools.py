@@ -57,10 +57,14 @@ def test_prints_each_file_and_the_total(tmp_path):
     assert out.stdout.split("\n") == ["     9  a.py", "     1  pkg/b.py", "    10  total", ""]
 
 
-# calls that fail: a test of the non-pivotal vj and an unknown method are
-# usage errors, inverse CVs that sum to zero a numerical failure, a missing
-# input file an i/o error
-FAILING_CALLS = {"--null 0.6 --method vj": "1", "--method bogus": "1", "zero.csv": "2", "missing.csv": "3"}
+# calls that fail: a test of the non-pivotal vj, an unknown method, an empty
+# group label, n = 1 and a grid's non-numeric mean are validation errors,
+# inverse CVs that sum to zero and a pivot term beyond 2^510 numerical
+# failures, a missing input file an i/o error
+FAILING_CALLS = {
+    "--null 0.6 --method vj": "1", "--method bogus": "1", "blank_label.csv": "1", "n1.csv": "1",
+    "word_mean.csv": "1", "zero.csv": "2", "tiny_mean.csv": "2", "missing.csv": "3",
+}
 
 
 def test_cli_digest_one_line_per_call_on_every_run():

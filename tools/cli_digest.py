@@ -32,7 +32,16 @@ GRID = (
     "0.5,1e308,1e308,5,5\n"  # the simulated data overflow
     "0.05,10.0,20.0,20,30\n"
 )
-ZERO = "group,n,mean,sd\na,2,1.0,1.0\nb,2,-1.0,1.0\n"  # n*mean/sd sums to zero
+# the calls' input files, written to TMP
+FILES = {
+    "grid.csv": GRID,
+    "zero.csv": "group,n,mean,sd\na,2,1.0,1.0\nb,2,-1.0,1.0\n",  # n*mean/sd sums to zero
+    "blank_label.csv": "group,value\na,1.0\na,1.5\n,2.0\n",
+    "n1.csv": "group,n,mean,sd\na,5,1.0,0.2\nb,1,2.0,0.3\n",
+    "word_mean.csv": "phi,mu1,mu2,n1,n2\n0.1,1.0,two,5,8\n",
+    # the tiny mean overflows (n-1) sd^2 / (n mean^2) in the pivots, not in tian
+    "tiny_mean.csv": "group,n,mean,sd\na,5,1e-160,1.0\nb,6,2.0,0.5\nc,7,1.5,0.4\n",
+}
 
 
 def calls() -> list[list[str]]:
@@ -63,6 +72,10 @@ def calls() -> list[list[str]]:
         [*simulate, "--out", f"{TMP}/out.csv"],
         [*simulate, "--method", "tian"],
         ["estimate", "--input", f"{TMP}/zero.csv", "--summary"],
+        ["estimate", "--input", f"{TMP}/blank_label.csv"],
+        ["estimate", "--input", f"{TMP}/n1.csv", "--summary"],
+        ["simulate", "--config", f"{TMP}/word_mean.csv"],
+        ["ci", "--input", f"{TMP}/tiny_mean.csv", "--summary", "--method", "all"],
         ["ci", *surveys, "--method", "bogus"],
         ["ci", "--input", f"{TMP}/missing.csv"],
     ]
@@ -99,8 +112,8 @@ def main(argv: list[str]) -> int:
     from common_cv.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "grid.csv").write_text(GRID)
-        Path(tmp, "zero.csv").write_text(ZERO)
+        for name, text in FILES.items():
+            Path(tmp, name).write_text(text)
         for call in calls():
             code, digest = run(cli_main, call, {TMP: tmp, SRC: str(src)})
             print(f"{code} {digest} {shlex.join(call)}")
