@@ -241,16 +241,17 @@ def _cmd_simulate(args) -> int:
     header = grid_header(len(configs[0].mus)) + ["reps", "draws", "level", "seed", *_PERFORMANCE_KEYS, "error"]
     # opened before the grid runs, so that an unwritable path fails at once
     with contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", newline="") as fh:
-        results = run_grid(configs)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for res in results:
-            cfg = res.config
+        for cfg in configs:
+            # one cell at a time, its rows written as it finishes
+            (res,) = run_grid((cfg,))
             prefix = [cfg.phi, *cfg.mus, *cfg.ns, cfg.reps, cfg.m, cfg.level, cfg.master_seed]
             if res.error is not None:
                 writer.writerow(prefix + [""] * len(_PERFORMANCE_KEYS) + [res.error])
             for perf in res.performance.values():
                 writer.writerow(prefix + [*_record(perf, _PERFORMANCE_KEYS).values(), ""])
+            fh.flush()
     return 0
 
 

@@ -223,6 +223,8 @@ def vj_interval(study: Study | Sequence[SampleSummary], level: float) -> Interva
     level = checked_real(level, "confidence level", 0.0, 1.0)
     study = _read_once(study)
     phi = newton_mle(study).phi
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    p = 0.5 + level / 2.0
+    # p rounds to 1.0 at the largest level below 1, where the lower tail still gives z
+    z = NormalDist().inv_cdf(p) if p < 1.0 else -NormalDist().inv_cdf((1.0 - level) / 2.0)
     half = z * math.sqrt((phi**4 + phi**2 / 2.0) / group_arrays(study).ns.sum())
     return IntervalResult(method=Method.VERRILL_JOHNSON, level=level, lower=phi - half, upper=phi + half)

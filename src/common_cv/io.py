@@ -10,10 +10,13 @@ as the decimal separator:
 Simulation grids (header ``phi,mu1..muK,n1..nK``, one cell per row) are
 read by the same row reader.
 
-Group labels are arbitrary nonempty strings.  Values must parse as finite
-numbers, and n as an integer >= 2.  Files and binary streams are decoded
-strictly as UTF-8, and text streams are taken as decoded; a leading byte
-order mark (Excel's "CSV UTF-8") is dropped from all three.
+Fields are read as the csv module quotes them: a quoted field may hold
+commas, doubled double quotes and line breaks.  Every field is stripped
+of surrounding whitespace.  Group labels are arbitrary nonempty strings.
+Values must parse as finite numbers, and n as an integer >= 2.  Files
+and binary streams are decoded strictly as UTF-8, and text streams are
+taken as decoded; a leading byte order mark (Excel's "CSV UTF-8") is
+dropped from all three.
 """
 
 from __future__ import annotations
@@ -39,17 +42,15 @@ def _rows(source, columns):
 
     ``columns`` is the layout's (name, parser) pairs, or a function from the
     file's header to them (for layouts of varying width).  The header must
-    list the names; each parser takes a field and its line number.
+    list the names; each parser takes a field and the line its record ends on.
     """
     try:
-        if hasattr(source, "read"):
-            text = source.read()
-            text = text.decode("utf-8-sig") if isinstance(text, bytes) else text.removeprefix("\ufeff")
-        else:
-            text = Path(source).read_text(encoding="utf-8-sig")
+        text = source.read() if hasattr(source, "read") else Path(source).read_bytes()
+        text = text.decode("utf-8-sig") if isinstance(text, bytes) else text.removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"input is not UTF-8 text: {exc}") from None
-    reader = csv.reader(text.splitlines())
+    # one record may span lines, inside a quoted field
+    reader = csv.reader(StringIO(text, newline=""))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
@@ -59,15 +60,15 @@ def _rows(source, columns):
     names = [name for name, _ in columns]
     if header != names:
         raise MalformedHeaderError(f"expected header {','.join(names)!r}, got {','.join(header)!r}")
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # ignore blank lines
         if len(row) != len(columns):
             raise ValidationError(
-                f"line {lineno}: expected {len(columns)} fields, got {len(row)}; "
+                f"line {reader.line_num}: expected {len(columns)} fields, got {len(row)}; "
                 "the row does not match the header"
             )
-        yield [parse(field.strip(), lineno) for (_, parse), field in zip(columns, row)]
+        yield [parse(field.strip(), reader.line_num) for (_, parse), field in zip(columns, row)]
 
 
 def _parse_label(field, lineno):
@@ -143,10 +144,13 @@ def write_summary_csv(study, dest) -> None:
 
     The groups are checked before ``dest`` is opened, so a bad study writes
     no file.  Floats are written in shortest round-trip form, so reading the
-    file back reproduces the study (and therefore all inference results)
-    exactly.
+    file back reproduces every group's n, mean and sd (and therefore all
+    inference results) exactly.  A label is quoted where it holds a comma,
+    a double quote or a line break and reads back as written, except that
+    its surrounding whitespace is not kept and an empty label is written
+    as ``groupN``, N its 1-based position.
     """
-    study = study if isinstance(study, Study) else Study(study)
+    study = Study(study)
     with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(name for name, _ in _SUMMARY_COLUMNS)

@@ -84,7 +84,6 @@ _SLICE = 1 << 13  # replicates per kernel pass: bounds the working set a thread 
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _MAX_RESAMPLE_ATTEMPTS = 1000
 _MAX_REJECTED_FRACTION = 0.01
-_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def _resample(groups, method, base, rows, m, reducer):
             for _, u, zg in _variate_slices(stream, groups.dfs, 1):
                 vals, bad = _pivot_values(groups, u, zg)[method]
             if not bad[0]:
-                reducer.feed(int(r), vals, _NO_ROWS)
+                reducer.feed(int(r), vals, vals)
                 break
         else:
             return count, DegenerateRateError(
@@ -247,11 +246,10 @@ def _resample(groups, method, base, rows, m, reducer):
 
 
 # The engine hands each kernel pass to one reducer per method, shared by
-# all its worker threads under one lock: ``feed(first, vals, bad)`` gets
-# the pass's values, its first replicate's index and the indices in
-# ``vals`` of its degenerate values, which the reducer skips (they are
-# regenerated and fed in one by one later), and ``result()`` is what the
-# engine returns for the method.
+# all its worker threads under one lock: ``feed(first, vals, finite)`` gets
+# the pass's first replicate's index, its values, and its values without
+# the degenerate ones (those are regenerated and fed in one by one later),
+# and ``result()`` is what the engine returns for the method.
 
 
 class _Values:
@@ -261,7 +259,7 @@ class _Values:
     def __init__(self, m):
         self.values = np.empty(m)
 
-    def feed(self, first, vals, bad):
+    def feed(self, first, vals, finite):
         self.values[first:first + vals.size] = vals
 
     def result(self):
@@ -289,36 +287,37 @@ class _Tails:
         self.buf = np.empty(min(m, tails + max(tails // 2, _SLICE) + _SLICE))
         self.size, self.cuts = 0, None
 
-    def feed(self, first, vals, bad):
-        if bad.size:
-            vals = np.delete(vals, bad)
+    def feed(self, first, vals, finite):
         if self.cuts is not None:
-            below = vals < self.cuts[0]
-            vals = vals[np.logical_or(below, vals > self.cuts[1], out=below)]
-        if self.size + vals.size > self.buf.size:
+            below = finite < self.cuts[0]
+            finite = finite[np.logical_or(below, finite > self.cuts[1], out=below)]
+        if self.size + finite.size > self.buf.size:
             self._compact()
-        self.buf[self.size:self.size + vals.size] = vals
-        self.size += vals.size
+        self.buf[self.size:self.size + finite.size] = finite
+        self.size += finite.size
+
+    def _select(self):
+        """The buffer's values at the ranks of the two ends, as floats,
+        selected in place: afterwards the buffer holds the lo + 1 smallest
+        values up to lo and the m - hi largest from hi on.  One single-kth
+        partition at lo, then one of the values above it: a multi-kth
+        np.partition(vals, [lo, hi]) is several times slower than two of
+        them at m = 10^6."""
+        vals, lo, hi = self.buf[:self.size], self.lo, self.size - self.high
+        vals.partition(lo)
+        if hi > lo:  # equal where both ends are one rank: below a level of about 1/m (odd m) or 2e-9/m
+            vals[lo + 1:].partition(hi - lo - 1)
+        return float(vals[lo]), float(vals[hi])
 
     def _compact(self):
         # called on a full buffer, which holds both tails and at least one
         # pass more; keeping just them leaves room for the pass being fed
-        vals, lo, hi = self.buf[:self.size], self.lo, self.size - self.high
-        vals.partition(lo)
-        vals[lo + 1:].partition(hi - lo - 1)
-        self.cuts = vals[lo], vals[hi]
-        vals[lo + 1:lo + 1 + self.high] = vals[hi:]
-        self.size = lo + 1 + self.high
+        self.cuts = self._select()
+        self.buf[self.lo + 1:self.lo + 1 + self.high] = self.buf[self.size - self.high:self.size]
+        self.size = self.lo + 1 + self.high
 
     def result(self):
-        # one single-kth partition per end, selected in place: a multi-kth
-        # np.partition(vals, [lo, hi]) is several times slower than two of
-        # them at m = 10^6
-        vals, lo, hi = self.buf[:self.size], self.lo, self.size - self.high
-        vals.partition(lo)
-        lower = float(vals[lo])
-        vals.partition(hi)
-        return lower, float(vals[hi])
+        return self._select()
 
 
 class _Counts:
@@ -328,11 +327,9 @@ class _Counts:
     def __init__(self, phi0):
         self.phi0, self.at_most, self.at_least = phi0, 0, 0
 
-    def feed(self, first, vals, bad):
-        if bad.size:
-            vals = np.delete(vals, bad)
-        self.at_most += int(np.count_nonzero(vals <= self.phi0))
-        self.at_least += int(np.count_nonzero(vals >= self.phi0))
+    def feed(self, first, vals, finite):
+        self.at_most += int(np.count_nonzero(finite <= self.phi0))
+        self.at_least += int(np.count_nonzero(finite >= self.phi0))
 
     def result(self):
         return self.at_most, self.at_least
@@ -378,9 +375,9 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
     worker feeds each kernel pass to the same reducer per method, under
     one lock per call, so an interval holds one buffer of tails however
     many threads fill it.  A reducer's result does not depend on the
-    order passes arrive in, and each pass lists its degenerate rows in its
-    own slot, so the result is bit-identical for any worker count; after
-    the join the rows are regenerated serially in ascending order.  One
+    order passes arrive in, and the degenerate rows of all passes are
+    sorted after the join and regenerated serially in ascending order, so
+    the result is bit-identical for any worker count.  One
     block stays on the calling thread.  An exception in any worker
     is raised here once every worker has joined.  The callers have
     checked (m, seed) with :func:`_draw_args`.
@@ -394,9 +391,7 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
     workers = min(_WORKERS, blocks)
     reducers = {method: reduce() if reduce else _Values(m) for method in methods}
     lock = threading.Lock()
-    # each pass lists its degenerate rows in its own slot (a block is a
-    # whole number of passes)
-    bad_rows = {method: [None] * -(-m // _SLICE) for method in methods}
+    bad_rows = {method: [] for method in methods}  # one array of rows per pass, in arrival order
     errors = [None] * workers
 
     def feed(first, pivots):
@@ -404,8 +399,8 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
             for method, reducer in reducers.items():
                 vals, bad = pivots[method]
                 bad = np.flatnonzero(bad)
-                reducer.feed(first, vals, bad)
-                bad_rows[method][first // _SLICE] = bad + first
+                reducer.feed(first, vals, np.delete(vals, bad) if bad.size else vals)
+                bad_rows[method].append(bad + first)
 
     def fill_block(i):
         # a function, so that a block's arrays are freed before the next
@@ -439,7 +434,7 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
 
     results, rejected = {}, {}
     for method, reducer in reducers.items():
-        rows = np.concatenate(bad_rows[method])  # ascending: the slots are in row order
+        rows = np.sort(np.concatenate(bad_rows[method]))
         rejected[method], error = _resample(groups, method, base, rows, m, reducer)
         results[method] = reducer.result() if error is None else error
     return results, rejected

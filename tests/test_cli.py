@@ -343,6 +343,16 @@ class TestCi:
         methods = [line.split()[0] for line in out.splitlines()]
         assert methods == ["method=tian", "method=vj", "method=new", "method=combined"]
 
+    def test_vj_at_the_largest_level_below_one(self, capsys):
+        code, out, err = run(
+            capsys, "ci", "--input", SURVEYS_PATH, "--summary", "--method", "vj",
+            "--level", "0.9999999999999999", "--json",
+        )
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        assert record["level"] == 0.9999999999999999
+        assert -float("inf") < record["lower"] < record["upper"] < float("inf")
+
     def test_too_few_draws(self, capsys):
         code, _, err = run(
             capsys, "ci", "--input", SURVEYS_PATH, "--summary", "--draws", "50"
@@ -549,6 +559,41 @@ class TestSimulate:
         assert len(body) == 1
         assert body[0][9:13] == ["", "", "", ""]
         assert "draws" in body[0][13]
+
+    THREE_CELLS = "phi,mu1,mu2,n1,n2\n0.3,1.0,2.0,10,10\n0.1,1.0,1.0,15,5\n0.2,2.0,1.0,8,12\n"
+
+    def _failing_in_cell(self, monkeypatch, cell, exc):
+        real, calls = simulate.run_study, []
+
+        def flaky(config):
+            calls.append(config)
+            if len(calls) == cell:
+                raise exc
+            return real(config)
+
+        monkeypatch.setattr(simulate, "run_study", flaky)
+
+    def test_cell_raising_anything_keeps_the_other_cells(self, capsys, tmp_path, monkeypatch):
+        args = ("simulate", "--config", write_grid(tmp_path, self.THREE_CELLS), "--reps", "3", "--draws", "150")
+        code, clean, _ = run(capsys, *args)
+        assert code == 0
+        self._failing_in_cell(monkeypatch, 2, RuntimeError("cell two broke"))
+        code, out, err = run(capsys, *args)
+        assert code == 0 and err == ""
+        clean_rows, rows = list(csv.reader(io.StringIO(clean))), list(csv.reader(io.StringIO(out)))
+        assert rows[:5] == clean_rows[:5]  # the header and cell 1's four methods
+        assert rows[5][:9] == clean_rows[5][:9] and rows[5][9:] == ["", "", "", "", "cell two broke"]
+        assert rows[6:] == clean_rows[9:]
+
+    def test_interrupt_keeps_the_finished_cells(self, capsys, tmp_path, monkeypatch):
+        grid = write_grid(tmp_path, self.THREE_CELLS)
+        code, clean, _ = run(capsys, "simulate", "--config", grid, "--reps", "3", "--draws", "150")
+        assert code == 0
+        self._failing_in_cell(monkeypatch, 3, KeyboardInterrupt())
+        out_path = tmp_path / "results.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--config", grid, "--reps", "3", "--draws", "150", "--out", str(out_path)])
+        assert out_path.read_text().splitlines() == clean.splitlines()[:9]
 
     def test_unwritable_out_fails_before_the_grid_runs(self, capsys, tmp_path, monkeypatch):
         calls = []

@@ -546,6 +546,16 @@ class TestVjInterval:
         z = (iv.upper - iv.lower) / 2.0**80
         assert z == pytest.approx(norm.ppf(0.5 + level / 2.0), rel=1e-15, abs=0.0)
 
+    def test_largest_level_below_one(self, surveys):
+        # 0.5 + level / 2 rounds to 1.0 here, where the normal quantile is infinite
+        widest = vj_interval(surveys, 0.9999999999999999)
+        inner = vj_interval(surveys, 0.999999)
+        assert math.isfinite(widest.lower) and math.isfinite(widest.upper)
+        assert widest.lower < inner.lower < inner.upper < widest.upper
+        assert (widest.upper - widest.lower) / (inner.upper - inner.lower) == pytest.approx(
+            norm.isf((1.0 - 0.9999999999999999) / 2.0) / norm.ppf(0.5 + 0.999999 / 2.0), rel=1e-9
+        )
+
     def test_level_shrinks_to_point(self, surveys):
         tiny = vj_interval(surveys, 1e-9)
         assert tiny.length < 1e-9

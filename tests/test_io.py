@@ -220,6 +220,23 @@ class TestRoundTrip:
             write_summary_csv(groups, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("through", ["text", "binary", "path"])
+    def test_labels_with_line_breaks_commas_and_quotes(self, tmp_path, through):
+        study = Study(groups=tuple(
+            SampleSummary(n=5 + i, mean=1.0 + i, sd=0.5, label=label)
+            for i, label in enumerate(["a\nb", "c,d", 'say "hi"', "e\r\nf", "g\x1ch\u2028i"])
+        ))
+        buf = io.StringIO()
+        write_summary_csv(study, buf)
+        path = tmp_path / "labels.csv"
+        write_summary_csv(study, path)
+        source = {"text": io.StringIO(buf.getvalue()), "binary": io.BytesIO(buf.getvalue().encode()), "path": path}
+        assert read_summary_csv(source[through]) == study
+
+    def test_error_after_a_record_spanning_lines_names_its_line(self):
+        with pytest.raises(NonNumericValueError, match="line 4"):
+            read_raw_csv(io.StringIO('group,value\n"a\nb",1.0\nc,x\n'))
+
     def test_write_to_file_like_leaves_it_open(self, surveys):
         buf = io.StringIO()
         write_summary_csv(surveys, buf)

@@ -533,7 +533,7 @@ class TestReducedAsDrawn:
     generate_draws returns, for any worker count, with degenerate rows
     regenerated, and with a method asked for twice."""
 
-    LEVELS = (0.01, 0.5, 0.75, 0.9, 0.95)
+    LEVELS = (1e-15, 0.01, 0.5, 0.75, 0.9, 0.95, 0.999999)  # at 1e-15 both ends are one rank
     ASKED = (Method.TIAN, Method.NEW, Method.TIAN, Method.COMBINED)
     PHI0 = 0.8
 
@@ -571,7 +571,7 @@ class TestReducedAsDrawn:
         values[-2:] = 2 * lo - 1, 1e6 - 2 * (m - hi - 1) + 1
         tails = pivotal._Tails(m, lo, hi)
         for first in range(0, m, pivotal._SLICE):
-            tails.feed(first, values[first:first + pivotal._SLICE], pivotal._NO_ROWS)
+            tails.feed(first, values[first:first + pivotal._SLICE], values[first:first + pivotal._SLICE])
         assert tails.cuts is not None
         ordered = np.sort(values)
         assert tails.result() == (ordered[lo], ordered[hi]) == (values[-2], values[-1])

@@ -41,6 +41,8 @@ FILES = {
     "word_mean.csv": "phi,mu1,mu2,n1,n2\n0.1,1.0,two,5,8\n",
     # the tiny mean overflows (n-1) sd^2 / (n mean^2) in the pivots, not in tian
     "tiny_mean.csv": "group,n,mean,sd\na,5,1e-160,1.0\nb,6,2.0,0.5\nc,7,1.5,0.4\n",
+    # quoted labels holding a line break and a comma
+    "labels.csv": 'group,n,mean,sd\n"a\nb",5,1.0,0.2\n"c,d",6,2.0,0.3\n',
 }
 
 
@@ -78,6 +80,8 @@ def calls() -> list[list[str]]:
         ["ci", "--input", f"{TMP}/tiny_mean.csv", "--summary", "--method", "all"],
         ["ci", *surveys, "--method", "bogus"],
         ["ci", "--input", f"{TMP}/missing.csv"],
+        ["ci", *surveys, "--method", "vj", "--level", "0.9999999999999999"],  # 0.5 + level / 2 rounds to 1.0
+        ["estimate", "--input", f"{TMP}/labels.csv", "--summary"],
     ]
 
 
