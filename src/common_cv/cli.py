@@ -36,19 +36,24 @@ _METHOD_CHOICES = [method.value for method in Method] + ["all"]
 _DEFAULT_DRAWS = 5000
 
 # One key list per result type, in its JSON record's order, and the text
-# line that formats the same record in the line's own order.
+# line that formats the same record in the line's own order; the level and
+# the null are formatted by _number.
 _INTERVAL_KEYS = ("method", "level", "lower", "upper", "length", "draws", "seed")
 _INTERVAL_LINE = (
-    "method={method:<9} level={level:g} draws={draws} seed={seed} "
+    "method={method:<9} level={level} draws={draws} seed={seed} "
     "lower={lower:.6f} upper={upper:.6f} length={length:.6f}"
 )
 _TEST_KEYS = ("method", "null", "alternative", "p_value", "draws", "seed")
 _TEST_LINE = (
-    "method={method:<9} null={null:g} alternative={alternative} draws={draws} seed={seed} "
+    "method={method:<9} null={null} alternative={alternative} draws={draws} seed={seed} "
     "p_value={p_value:.6f}"
 )
 # estimate's group table row, whose header drops the precision, and its pooled block
 _GROUP_LINE = "{group:<12} {n:>5} {mean:>12.4f} {sd:>12.4f} {cv:>10.4f}"
+# every character str.splitlines breaks a line at, and the backslash,
+# mapped to its escape, so that a label prints on its table row and no two
+# labels print alike
+_ESCAPES = str.maketrans({ch: repr(ch)[1:-1] for ch in "\\\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 _POOLED_KEYS = ("feltz_miller", "new", "mle")
 # the simulate CSV's columns after the cell's own
 _PERFORMANCE_KEYS = ("method", "coverage", "avg_length", "failures")
@@ -170,7 +175,7 @@ def _estimates(study: Study) -> dict:
 def _print_estimates(study: Study, est: dict):
     print(_GROUP_LINE.replace(".4f", "").format_map({key: key for key in est["groups"][0]}))
     for row in est["groups"]:
-        print(_GROUP_LINE.format_map(row))
+        print(_GROUP_LINE.format_map({**row, "group": row["group"].translate(_ESCAPES)}))
     print(f"\npooled estimates (k={study.k}, n={study.n}):")
     for key in _POOLED_KEYS:
         print(f"  {key:<13} {est[key]:.6f}")
@@ -202,11 +207,22 @@ def _records(results: dict, keys):
         yield _record(result, keys)
 
 
+def _number(x: float) -> str:
+    """``x`` in :g form where that reads back as ``x``, and in its shortest
+    round-trip form otherwise: 0.95 as 0.95, 0.9999999999999999 as itself."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def _print_records(records, line: str, as_json: bool):
-    """Each record as one JSON object, or as its text ``line``, where a missing seed reads -."""
+    """Each record as one JSON object, or as its text ``line``, where a
+    missing seed reads - and the level or the null reads as :func:`_number`."""
     for record in records:
-        seed = "-" if record["seed"] is None else record["seed"]
-        print(json.dumps(record) if as_json else line.format_map({**record, "seed": seed}))
+        if as_json:
+            print(json.dumps(record))
+            continue
+        text = {key: _number(v) if key in ("level", "null") else v for key, v in record.items()}
+        print(line.format_map({**text, "seed": "-" if record["seed"] is None else record["seed"]}))
 
 
 def _cmd_ci(args) -> int:

@@ -109,8 +109,12 @@ def _variate_slices(stream: SeededStream, dfs: np.ndarray, b: int):
     ``_SLICE`` rows: yields (first row, u rows, zg rows).  The stream is
     read as all (b, k) chi-squares, then the (b, k) normals row by row,
     then the b spare normals, which no pivot uses; only one pass's normals
-    are held at a time."""
-    u = stream.chi_square(dfs, size=(b, dfs.size))
+    are held at a time.  Equal dfs are drawn from their one value as a
+    scalar df: numpy draws every value by the same sampler in the same
+    order as for the array, so to the same bits, but without broadcasting
+    the dfs over the (b, k) output."""
+    distinct = set(dfs.tolist())
+    u = stream.chi_square(distinct.pop() if len(distinct) == 1 else dfs, size=(b, dfs.size))
     for first in range(0, b, _SLICE):
         zg = stream.standard_normal((min(_SLICE, b - first), dfs.size))
         yield first, u[first:first + _SLICE], zg
@@ -391,16 +395,19 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
     workers = min(_WORKERS, blocks)
     reducers = {method: reduce() if reduce else _Values(m) for method in methods}
     lock = threading.Lock()
-    bad_rows = {method: [] for method in methods}  # one array of rows per pass, in arrival order
+    bad_rows = {method: [] for method in methods}  # the ledger: the rows of each pass that has any, in arrival order
     errors = [None] * workers
 
     def feed(first, pivots):
         with lock:
             for method, reducer in reducers.items():
                 vals, bad = pivots[method]
-                bad = np.flatnonzero(bad)
-                reducer.feed(first, vals, np.delete(vals, bad) if bad.size else vals)
-                bad_rows[method].append(bad + first)
+                if bad.any():  # a clean pass, the common case, adds nothing to the ledger
+                    bad = np.flatnonzero(bad)
+                    reducer.feed(first, vals, np.delete(vals, bad))
+                    bad_rows[method].append(bad + first)
+                else:
+                    reducer.feed(first, vals, vals)
 
     def fill_block(i):
         # a function, so that a block's arrays are freed before the next
@@ -434,7 +441,7 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
 
     results, rejected = {}, {}
     for method, reducer in reducers.items():
-        rows = np.sort(np.concatenate(bad_rows[method]))
+        rows = np.sort(np.concatenate(bad_rows[method])) if bad_rows[method] else ()
         rejected[method], error = _resample(groups, method, base, rows, m, reducer)
         results[method] = reducer.result() if error is None else error
     return results, rejected
@@ -510,25 +517,38 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
     """
     methods = tuple(_iterated(methods, "methods"))
     level = checked_real(level, "confidence level", 0.0, 1.0)
-    pivotal = tuple(method for method in methods if method is not Method.VERRILL_JOHNSON)
-    study, found = _read_once(study), {}
-    if pivotal:
+    study = _read_once(study)
+    if any(method is not Method.VERRILL_JOHNSON for method in methods):
         m, seed = _draw_args(m, seed)
+    results = _interval_ends(study, methods, level, m, seed)
+    for method, ends in results.items():
+        if isinstance(ends, tuple):
+            results[method] = IntervalResult(method, level, *ends, draws=m, seed=seed)
+    return results
+
+
+def _interval_ends(study, methods, level, m, seed):
+    """{method: its ends or its NumericalError}, in ``methods`` order, for
+    arguments :func:`intervals` has checked (a SimConfig checks them once
+    per cell): ``vj``'s IntervalResult, and each pivotal method's
+    (lower, upper), which :func:`intervals` wraps in a result.  The
+    pivotal methods share one engine call; ``vj`` ignores m and seed."""
+    pivotal = tuple(method for method in methods if method is not Method.VERRILL_JOHNSON)
+    found = {}
+    if pivotal:
         alpha = 1.0 - level
         lo, hi = _order_index(alpha / 2.0, m), _order_index(1.0 - alpha / 2.0, m)
         found = _pivot_value_arrays(study, pivotal, m, seed, lambda: _Tails(m, lo, hi))[0]
-    results = {}
+    ends = {}
     for method in methods:
         if method is Method.VERRILL_JOHNSON:
             try:
-                results[method] = vj_interval(study, level)
+                ends[method] = vj_interval(study, level)
             except NumericalError as exc:
-                results[method] = exc
-        elif isinstance(found[method], NumericalError):
-            results[method] = found[method]
+                ends[method] = exc
         else:
-            results[method] = IntervalResult(method, level, *found[method], draws=m, seed=seed)
-    return results
+            ends[method] = found[method]
+    return ends
 
 
 def _test_args(phi0, alternative):

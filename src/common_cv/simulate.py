@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .model import ALL_METHODS, PIVOTAL_METHODS, IntervalResult, Method, Study, _iterated, summarize
-# Only intervals is called here; perfbench/tracer.py wraps the other bindings.
-from .pivotal import _pivot_value_arrays, generate_draws, intervals, quantile, vj_interval  # noqa: F401
-from .pivotal import _draw_args
+# None of these four is called here; perfbench/tracer.py wraps these bindings.
+from .pivotal import _pivot_value_arrays, generate_draws, quantile, vj_interval  # noqa: F401
+from .pivotal import _draw_args, _interval_ends
 from .randgen import ROLE_SIM_DATA, ROLE_SIM_PIVOTS, SeededStream, checked_int, checked_real, checked_seed
 from .randgen import mix_components
 
@@ -93,11 +93,10 @@ class SimResult:
 
 def _simulate_study(config: SimConfig, data_stream) -> Study:
     groups = []
-    for i, (mu, n) in enumerate(zip(config.mus, config.ns)):
-        z = data_stream.standard_normal(n)
-        with np.errstate(over="ignore"):  # summarize rejects the values that overflow
-            x = mu * (1.0 + config.phi * z)
-        groups.append(summarize(x, label=f"g{i + 1}"))
+    with np.errstate(over="ignore"):  # summarize rejects the values that overflow
+        for i, (mu, n) in enumerate(zip(config.mus, config.ns)):
+            z = data_stream.standard_normal(n)
+            groups.append(summarize(mu * (1.0 + config.phi * z), label=f"g{i + 1}"))
     return Study(groups=tuple(groups))
 
 
@@ -107,13 +106,16 @@ class _Tally:
     def __init__(self):
         self.covered, self.length_sum, self.failures = 0, 0.0, 0
 
-    def add(self, interval, target: float):
-        """Count one replication's interval, or a failure for its error."""
-        if isinstance(interval, IntervalResult):
-            self.covered += interval.contains(target)
-            self.length_sum += interval.length
-        else:
+    def add(self, ends, target: float):
+        """Count one replication's ends, vj's IntervalResult or a pivotal
+        method's (lower, upper), or a failure for its error; the closed
+        interval covers a target at either end."""
+        if isinstance(ends, Exception):
             self.failures += 1
+            return
+        lower, upper = (ends.lower, ends.upper) if isinstance(ends, IntervalResult) else ends
+        self.covered += lower <= target <= upper
+        self.length_sum += upper - lower
 
     def performance(self, method: Method, reps: int) -> MethodPerformance:
         effective = reps - self.failures
@@ -145,9 +147,9 @@ def run_study(config: SimConfig) -> SimResult:
             found = dict.fromkeys(config.methods, exc)
         else:
             pivot_seed = mix_components(config.master_seed, ROLE_SIM_PIVOTS, 0, r)
-            found = intervals(study, config.methods, config.level, config.m, pivot_seed)
-        for m, interval in found.items():
-            tallies[m].add(interval, target)
+            found = _interval_ends(study, config.methods, config.level, config.m, pivot_seed)
+        for m, ends in found.items():
+            tallies[m].add(ends, target)
 
     return SimResult(config=config, performance={m: t.performance(m, config.reps) for m, t in tallies.items()})
 

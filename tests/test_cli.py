@@ -100,6 +100,29 @@ class TestEstimate:
         assert [g["group"] for g in rec["groups"]] == ["a", "b"]
 
 
+    def test_labels_with_line_breaks_keep_one_row_per_group(self, capsys, tmp_path):
+        # the text table escapes every character str.splitlines breaks at;
+        # the JSON keeps each label as read
+        labels = ["a\nb", "c\r\nd", "e\x1cf", "g\u2028h"]
+        rows = "".join(f'"{label}",{5 + i},{1.0 + i},0.2\n' for i, label in enumerate(labels))
+        path = tmp_path / "labels.csv"
+        path.write_text("group,n,mean,sd\n" + rows, encoding="utf-8", newline="")
+        code, out, err = run(capsys, "estimate", "--input", str(path), "--summary")
+        assert (code, err) == (0, "")
+        table = out.split("\n\n")[0].split("\n")
+        assert [line.split()[0] for line in table] == ["group", "a\\nb", "c\\r\\nd", "e\\x1cf", "g\\u2028h"]
+        code, out, err = run(capsys, "estimate", "--input", str(path), "--summary", "--json")
+        assert (code, err) == (0, "")
+        assert [g["group"] for g in json.loads(out)["groups"]] == labels
+
+    def test_a_backslash_prints_apart_from_a_line_break(self, capsys, tmp_path):
+        # a quoted newline prints as a\nb; a backslash, then n, as a\\nb
+        path = tmp_path / "labels.csv"
+        path.write_text('group,n,mean,sd\n"a\nb",5,1.0,0.2\na\\nb,6,2.0,0.3\n', encoding="utf-8", newline="")
+        code, out, err = run(capsys, "estimate", "--input", str(path), "--summary")
+        assert (code, err) == (0, "")
+        assert [line.split()[0] for line in out.split("\n\n")[0].split("\n")[1:]] == ["a\\nb", "a\\\\nb"]
+
     @pytest.mark.parametrize("source", ["path", "stdin"])
     def test_byte_order_mark_accepted(self, capsys, monkeypatch, tmp_path, source):
         text = "\ufeff" + resources.files("common_cv").joinpath("data").joinpath(
@@ -733,3 +756,17 @@ class TestTextMatchesJson:
         [line], [record] = text.splitlines(), [json.loads(line) for line in out.splitlines()]
         pairs = dict(token.split("=", 1) for token in line.split())
         assert pairs == {key: self.shown(key, value) for key, value in record.items()}
+
+    @pytest.mark.parametrize("argv, key", [
+        (("ci", *SURVEY, "--method", "vj", "--level", "0.9999999999999999"), "level"),
+        (("ci", *SURVEY, "--method", "tian", "--level", "1e-7", "--draws", "300"), "level"),
+        (("test", *SURVEY, "--method", "new", "--null", "0.123456789", "--draws", "300"), "null"),
+    ], ids=["level near 1", "level near 0", "null of 9 digits"])
+    def test_level_and_null_read_back_as_in_json(self, capsys, argv, key):
+        # :g alone printed level=1 and null=0.123457; 1e-7 reads back as 1e-07
+        code, text, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        pairs = dict(token.split("=", 1) for token in text.split())
+        assert float(pairs[key]) == json.loads(out)[key]

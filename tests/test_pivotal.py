@@ -330,6 +330,31 @@ def _wide_study(k):
     ))
 
 
+class TestEqualDfsDrawnFromOneDf:
+    """A block's variates are those of the documented layout, bit for bit,
+    whether its dfs are equal, and drawn from their one value as a scalar
+    df, or not."""
+
+    @pytest.mark.parametrize("b", [1, 2000, 2**15])
+    @pytest.mark.parametrize("dfs, scalar", [
+        ([4.0, 4.0, 4.0], True), ([1.0], True), ([29.0] * 10, True), ([4.0, 4.0, 9.0], False),
+    ])
+    def test_same_variates_as_the_df_array(self, monkeypatch, dfs, scalar, b):
+        dfs, drawn_with, chi_square = np.array(dfs), [], SeededStream.chi_square
+
+        def recorded(self, df, size):
+            drawn_with.append(df)
+            return chi_square(self, df, size)
+
+        monkeypatch.setattr(SeededStream, "chi_square", recorded)
+        stream = SeededStream(2**64 - 1).substream(ROLE_PIVOT_BLOCK, 3)
+        u, zg = oracle_variates(_generator(stream), dfs, b)
+        slices = list(pivotal._variate_slices(stream, dfs, b))
+        assert np.concatenate([s[1] for s in slices]).tobytes() == u.tobytes()
+        assert np.concatenate([s[2] for s in slices]).tobytes() == zg.tobytes()
+        assert [isinstance(df, float) for df in drawn_with] == [scalar]
+
+
 class TestDrawsPinnedToBroadcastFormulas:
     """The engine's draws equal, bit for bit, the broadcast formulas applied
     to each block's variates rebuilt from the documented layout."""

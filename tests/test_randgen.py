@@ -74,6 +74,41 @@ class TestChiSquare:
         assert np.all(draws > 0.0)
 
 
+class TestScalarDf:
+    """One scalar df over a (rows, k) size draws, bit for bit, what numpy
+    draws with the array of k equal dfs on the stream's generator: the
+    engine draws equal dfs so (pivotal._variate_slices)."""
+
+    @staticmethod
+    def reference(seed, stream_id, dfs, size):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream_id])))
+        return rng.chisquare(dfs, size)
+
+    @pytest.mark.parametrize("rows", [1, 2000, 2**15])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("df", [1, 2, 4, 29])
+    def test_same_values_as_the_equal_df_array(self, df, k, rows):
+        drawn = SeededStream(3, 5).chi_square(float(df), size=(rows, k))
+        expected = self.reference(3, 5, np.full(k, float(df)), (rows, k))
+        assert drawn.shape == (rows, k) and drawn.tobytes() == expected.tobytes()
+
+    def test_equal_df_array_and_unequal_dfs(self):
+        for dfs in (np.full(3, 4.0), np.array([4.0, 4.0, 9.0])):
+            drawn = SeededStream(3, 5).chi_square(dfs, size=(2000, 3))
+            assert drawn.tobytes() == self.reference(3, 5, dfs, (2000, 3)).tobytes()
+
+    def test_integer_df_and_an_int_size(self):
+        drawn = SeededStream(2**64 - 1, 8).chi_square(7, size=2)
+        assert drawn.tobytes() == self.reference(2**64 - 1, 8, np.array([7, 7]), 2).tobytes()
+
+    @pytest.mark.parametrize("df", [
+        [0.0, 0.0, 0.0], [2.5, 2.5, 2.5], [math.inf] * 3, [-1, -1], 0.0, 2.5, math.inf, math.nan, -1,
+    ])
+    def test_bad_equal_dfs_and_bad_scalars_rejected(self, df):
+        with pytest.raises(InvalidDfError):
+            SeededStream(1).chi_square(np.array(df), size=(10, np.size(df)))
+
+
 class TestStreamDerivation:
     def test_equal_ids_equal_sequences(self):
         a = SeededStream(42, 1).standard_normal(50)
@@ -110,6 +145,15 @@ class TestStreamDerivation:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([7, 3])))
         assert np.array_equal(stream.chi_square([4, 9], size=(50, 2)), rng.chisquare([4, 9], (50, 2)))
         assert np.array_equal(stream.standard_normal(50), rng.standard_normal(50))
+
+    @pytest.mark.parametrize("seed, stream_id", [
+        (0, 0), (1, 2**32 - 1), (2**32, 2**32 + 1), (2**64 - 1, 2**63), (12345, 2**64 - 1),
+    ])
+    def test_generator_is_the_seed_pairs(self, seed, stream_id):
+        # the stream hands SeedSequence the 32-bit words of both ids, for
+        # the generator SeedSequence([seed, stream_id]) gives
+        expected = np.random.PCG64(np.random.SeedSequence([seed, stream_id])).state
+        assert SeededStream(seed, stream_id)._rng.bit_generator.state == expected
 
     def test_deriving_children_builds_no_generator(self):
         parent = SeededStream(11, 5)

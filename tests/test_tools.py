@@ -19,6 +19,7 @@ def load(path: Path):
 
 count_code_lines = load(TOOL)
 cli_digest = load(DIGEST)
+engine_digest = load(TOOLS / "engine_digest.py")
 
 SOURCE = b'''"""Module docstring,
 over two lines."""
@@ -77,3 +78,11 @@ def test_cli_digest_one_line_per_call_on_every_run():
         code, _, argv = re.fullmatch(r"(\d) ([0-9a-f]{64}) (.+)", line).groups()
         assert argv == shlex.join(call)
         assert code == next((found for part, found in FAILING_CALLS.items() if part in argv), "0")
+
+
+def test_engine_digest_one_line_per_group_on_every_run():
+    # a small size: m = 100 only, two seeds and 3 replications per cell
+    runs = [engine_digest.lines(ms=(100,), seeds=(0, 2**64 - 1), reps=3) for _ in range(2)]
+    assert runs[0] == runs[1]
+    groups = [re.fullmatch(r"[0-9a-f]{64} +[1-9]\d* (.+)", line).group(1) for line in runs[0]]
+    assert groups == list(engine_digest.GROUPS)
