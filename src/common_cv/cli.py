@@ -181,14 +181,13 @@ def _print_estimates(study: Study, est: dict):
         print(f"  {key:<13} {est[key]:.6f}")
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> None:
     study = _load_study(args)
     est = _estimates(study)
     if args.json:
         print(json.dumps(est))
     else:
         _print_estimates(study, est)
-    return 0
 
 
 def _record(result, keys) -> dict:
@@ -225,25 +224,23 @@ def _print_records(records, line: str, as_json: bool):
         print(line.format_map({**text, "seed": "-" if record["seed"] is None else record["seed"]}))
 
 
-def _cmd_ci(args) -> int:
+def _cmd_ci(args) -> None:
     _check_level(args.level)
     study = _load_study(args)
     seed = _resolve_seed(args)
     results = intervals(study, _resolve_methods(args, ALL_METHODS), args.level, args.draws, seed)
     _print_records(_records(results, _INTERVAL_KEYS), _INTERVAL_LINE, args.json)
-    return 0
 
 
-def _cmd_test(args) -> int:
+def _cmd_test(args) -> None:
     study = _load_study(args)
     seed = _resolve_seed(args)
     methods = _resolve_methods(args, PIVOTAL_METHODS)
     results = gpq_tests(study, methods, args.null, args.alternative, args.draws, seed)
     _print_records(_records(results, _TEST_KEYS), _TEST_LINE, args.json)
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     _check_level(args.level)
     seed = _resolve_seed(args)
     methods = _resolve_methods(args, ALL_METHODS)
@@ -268,10 +265,9 @@ def _cmd_simulate(args) -> int:
             for perf in res.performance.values():
                 writer.writerow(prefix + [*_record(perf, _PERFORMANCE_KEYS).values(), ""])
             fh.flush()
-    return 0
 
 
-def _cmd_examples(args) -> int:
+def _cmd_examples(args) -> None:
     seed = _resolve_seed(args)
     datasets = [
         ("blood-analyte surveys", load_mcv_surveys()),
@@ -288,14 +284,14 @@ def _cmd_examples(args) -> int:
         print("\n95% confidence intervals:")
         _print_records(records, _INTERVAL_LINE, False)
         print()
-    return 0
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return 0
     except _UsageError as exc:
         print(f"common-cv: error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,12 @@ D_i = r_i*sqrt(U_i/(n_i-1)) - Z_i/sqrt(n_i):
     new:       weighted harmonic counterpart:  n / sum_i n_i*D_i
     combined:  the plain average of the two
 
+Every pivot equals, bit for bit, these formulas evaluated with numpy on
+(b, k) arrays of variates: below 8 groups, where numpy adds a row's terms
+left to right from +0.0, the kernel adds them column by column in that
+order, and from 8 groups on it evaluates the formulas as written
+(:func:`_pivot_values`).
+
 The new pivot is often written with one standard normal Z against the
 pooled rate, n / (sum_i n_i*sqrt(U_i/(n_i-1))*r_i - sqrt(n)*Z).  Here
 sqrt(n)*Z = sum_i sqrt(n_i)*Z_i: the new pivot's own distribution is the
@@ -123,48 +129,45 @@ def _variate_slices(stream: SeededStream, dfs: np.ndarray, b: int):
 
 
 def _pivot_values(groups: GroupArrays, u: np.ndarray, zg: np.ndarray) -> dict:
-    """All three pivots, one column of D at a time.
+    """All three pivots, each equal, bit for bit, to the module docstring's
+    formulas evaluated on (b, k) arrays.
 
     u and zg are (b, k) arrays; returns {method: (values, degenerate_mask)}
     for each of ``PIVOTAL_METHODS``, both of length b, the rows of one
     (3, b) array of values and one of masks.  Both sums are formed, since
     combined reads them both: the Tian sum of w_j/D_j and the new sum of
     n_j*D_j, so a caller for one method pays for the other's sum too.
-    Column j's D_j is built in one reused buffer from plain-float r_j,
-    df_j and sqrt(n_j), and its terms are added in the order numpy's
-    ``sum(axis=1)`` adds a row, so every value equals, bit for bit, the
-    module docstring's formulas evaluated on (b, k) arrays.  A value is
-    degenerate when it is not finite, which includes every zero
+    Below 8 groups, D_j is built one column at a time in a reused buffer
+    from plain-float r_j, df_j and sqrt(n_j), and its terms are added left
+    to right from +0.0, as numpy's ``sum(axis=1)`` adds a row of fewer
+    than 8; from 8 groups on, the formulas are evaluated as written.  A
+    value is degenerate when it is not finite, which includes every zero
     denominator.
     """
     ns, means, sds, dfs = groups
-    pivots, term, k = np.zeros((3, len(u))), np.empty((2, len(u))), ns.size
-    d = pivots[2]  # D_j, one column at a time, until it holds the combined pivot
-    # numpy's row-wise sum adds fewer than 8 elements left to right from
-    # +0.0, and 8 or more pairwise, so from 8 on the terms are stacked
-    # and numpy sums them
-    sums = pivots[:2] if k < 8 else np.empty(term.shape + (k,))
+    tian, new, combined = pivots = np.zeros((3, len(u)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(k):
-            n, df = float(ns[j]), float(dfs[j])
-            np.divide(u[:, j], df, out=d)
-            np.sqrt(d, out=d)
-            np.multiply(d, float(means[j]) / float(sds[j]), out=d)
-            np.subtract(d, np.divide(zg[:, j], math.sqrt(n), out=term[1]), out=d)
-            np.divide(df, d, out=term[0])
-            np.multiply(d, n, out=term[1])
-            if k < 8:
-                sums += term
-            else:
-                sums[..., j] = term
-        if k >= 8:
-            sums.sum(axis=-1, out=pivots[:2])
-        pivots[0] /= dfs.sum()
-        np.divide(ns.sum(), pivots[1], out=pivots[1])
-        np.add(pivots[0], pivots[1], out=d)
-        d *= 0.5
-    bad = np.isfinite(pivots)
-    np.logical_not(bad, out=bad)
+        if ns.size < 8:
+            # D_j, one column at a time, in the row that ends up holding combined
+            d, term = combined, np.empty((2, len(u)))
+            for j in range(ns.size):
+                n, df = float(ns[j]), float(dfs[j])
+                np.divide(u[:, j], df, out=d)
+                np.sqrt(d, out=d)
+                np.multiply(d, float(means[j]) / float(sds[j]), out=d)
+                np.subtract(d, np.divide(zg[:, j], math.sqrt(n), out=term[1]), out=d)
+                np.divide(df, d, out=term[0])
+                np.multiply(d, n, out=term[1])
+                pivots[:2] += term
+        else:
+            d = (means / sds) * np.sqrt(u / dfs) - zg / np.sqrt(ns)
+            np.sum(dfs / d, axis=1, out=tian)
+            np.sum(ns * d, axis=1, out=new)
+        tian /= dfs.sum()
+        np.divide(ns.sum(), new, out=new)
+        np.add(tian, new, out=combined)
+        combined *= 0.5
+    bad = ~np.isfinite(pivots)
     return {method: (pivots[i], bad[i]) for i, method in enumerate(PIVOTAL_METHODS)}
 
 

@@ -396,10 +396,20 @@ class TestDrawsPinnedToBroadcastFormulas:
         for method in methods:
             assert np.array_equal(values[method], expected[method])
 
-    def test_regenerated_replicates(self, surveys, monkeypatch):
+    def test_single_draw_of_a_wide_study(self):
+        # one row of 17 groups: the kernel's formulas from 8 groups on
+        study = _wide_study(17)
+        groups = group_arrays(study)
+        u, zg = oracle_variates(np.random.default_rng(17), groups.dfs, 1)
+        expected = pivot_formulas(groups.ns, groups.means, groups.sds, u, zg)[0][0]
+        assert tian_draw(study, u[0], zg[0]) == expected
+
+    @pytest.mark.parametrize("study_name", ["surveys", "wide_17"])
+    def test_regenerated_replicates(self, request, monkeypatch, study_name):
         """Rows flagged in the block pass are redrawn from their own
         sub-stream; each first attempt is flagged too, so the kept value is
         the second full-layout replicate, after the first one's spare normal."""
+        study = _wide_study(17) if study_name == "wide_17" else request.getfixturevalue(study_name)
         original = pivotal._pivot_values
         single_calls = []
 
@@ -413,13 +423,13 @@ class TestDrawsPinnedToBroadcastFormulas:
             return {method: (vals, bad | flag) for method, (vals, bad) in drawn.items()}
 
         seed, m = 31, 2000
-        clean = _pivot_value_arrays(surveys, (Method.COMBINED,), m, seed)[0][Method.COMBINED]
+        clean = _pivot_value_arrays(study, (Method.COMBINED,), m, seed)[0][Method.COMBINED]
         monkeypatch.setattr(pivotal, "_pivot_values", patched)
-        values, rejected = _pivot_value_arrays(surveys, (Method.COMBINED,), m, seed)
+        values, rejected = _pivot_value_arrays(study, (Method.COMBINED,), m, seed)
         rows = np.nonzero(np.arange(m) % 700 == 3)[0]
         assert rejected[Method.COMBINED] == 2 * rows.size
         expected = clean.copy()
-        summary = [[g.n for g in surveys], [g.mean for g in surveys], [g.sd for g in surveys]]
+        summary = [[g.n for g in study], [g.mean for g in study], [g.sd for g in study]]
         for r in rows:
             rng = _generator(SeededStream(seed).substream(ROLE_RESAMPLE, int(r)))
             oracle_pivots(rng, *summary, 1)  # the flagged first attempt

@@ -9,14 +9,23 @@ of cases and the group's name.  The groups are:
 - ``engine values``, ``engine tails`` and ``engine counts``:
   ``pivotal._pivot_value_arrays`` with each of its reducers (every draw,
   the tails beyond the interval ends at several levels, the two counts of
-  a test), on a balanced three-group study and on both bundled datasets,
-  at every m and seed below, on one and on two worker threads, with the
-  kernel as it is, with a kernel that marks about 0.5% of each pass's rows
-  degenerate, and with one that marks 2% of them for ``new`` alone, which
-  fails that method;
+  a test), on a balanced three-group study, on both bundled datasets and
+  on a wide study of 17 groups of unequal sizes (n_i = 5 + (7i mod 26)),
+  whose chi-squares take the array-df path and whose pivots the kernel
+  forms by its branch for 8 groups or more, at every m and seed below, on
+  one and on two worker threads, with the kernel as it is, with a kernel
+  that marks about 0.5% of each pass's rows degenerate, and with one that
+  marks 2% of them for ``new`` alone, which fails that method (the marked
+  rows of the wide study are redrawn one row at a time, through the same
+  branch);
 - ``intervals`` (all four methods) and ``gpq_tests`` (every alternative);
 - ``generate_draws`` for each pivotal method;
-- ``run_study`` on a balanced and an unbalanced cell.
+- ``run_study`` on a balanced and an unbalanced cell;
+- ``mle``: ``newton_mle`` (phi and the sigmas) and ``vj_interval`` at
+  each of ``VJ_LEVELS``, on the studies above, on the profile-root studies
+  of the estimator tests, on pairs of n and n - 1 observations whose means
+  nearly cancel, on a pair whose inverse CVs sum to zero and on a study
+  with a tiny mean.
 
 The kernel patches go through ``pivotal._pivot_values`` and the thread
 count through ``pivotal._WORKERS``; a version that renames a private name
@@ -41,7 +50,27 @@ SEEDS = (0, 12345, 2**64 - 1)
 LEVELS = (1e-15, 0.5, 0.95, 0.999999)
 REPS = 30
 KERNELS = ("clean", "0.5% of rows", "2% of new's rows")
-GROUPS = ("engine values", "engine tails", "engine counts", "intervals", "gpq_tests", "generate_draws", "run_study")
+VJ_LEVELS = (0.5, 0.95, 0.9999999999999999)
+GROUPS = (
+    "engine values", "engine tails", "engine counts", "intervals", "gpq_tests", "generate_draws", "run_study", "mle",
+)
+# (n, mean, sd) rows of the MLE's studies beyond the engine's: the roots of
+# the profile score that the estimator tests pin, mixed-sign pairs of n and
+# n - 1 observations that nearly balance, inverse CVs that sum to zero, and
+# a mean whose q_i leaves the float range
+MLE_STUDIES = {
+    "pair": [(5, 2.0, 1.0), (7, 3.0, 0.6)],
+    **{f"sd {sd} beside 0.4": [(5, 1.0, float(sd)), (7, 2.0, 0.4)] for sd in ("1e16", "1e17", "1e30", "1e50")},
+    "sd 1e50 beside 1e20": [(5, 1.0, 1e50), (7, 2.0, 1e20)],
+    "sd 1e76 beside 1e77": [(5, 1.0, 1e76), (7, 2.0, 1e77)],
+    "mixed pair": [(5, 2.0, 1.0), (7, -3.0, 0.6)],
+    "mixed three": [(10, 5.0, 1.0), (8, 4.0, 1.5), (6, -1.0, 2.0)],
+    **{f"mixed CV {sd:g}": [(20, 1.0, sd), (5, -1.0, sd)] for sd in (3.0, 30.0)},
+    "mixed 10 beside 9": [(10, 1.0, 1.0), (9, -1.0, 1.0)],
+    **{f"mixed {n} beside {n - 1}": [(n, 1.0, 1.0), (n - 1, -1.0, 1.0)] for n in (20, 100, 1000, 10000)},
+    "zero sum": [(2, 1.0, 1.0), (2, -1.0, 1.0)],
+    "tiny mean": [(5, 1e-160, 1.0), (6, 2.0, 0.5), (7, 1.5, 0.4)],
+}
 
 
 def _update(digest, value):
@@ -102,6 +131,8 @@ def lines(ms=MS, seeds=SEEDS, reps=REPS) -> list[str]:
         "balanced": cv.Study([cv.SampleSummary(n=5, mean=1.0 + i, sd=0.2 * (1.0 + i)) for i in range(3)]),
         "surveys": cv.load_mcv_surveys(),
         "hospital": cv.load_hospital_survival(),
+        "wide": cv.Study([cv.SampleSummary(n=5 + (7 * i) % 26, mean=1.0 + 0.25 * i, sd=0.3 + 0.05 * (i % 5))
+                          for i in range(17)]),
     }
     original = pivotal._pivot_values
     kernels = {
@@ -153,6 +184,14 @@ def lines(ms=MS, seeds=SEEDS, reps=REPS) -> list[str]:
     }
     for (name, cell), seed in itertools.product(cells.items(), seeds):
         add("run_study", (name, seed), run_study(SimConfig(**cell, reps=reps, m=2000, master_seed=seed)))
+
+    mle_studies = {**studies, **{
+        name: [cv.SampleSummary(n=n, mean=mean, sd=sd) for n, mean, sd in rows] for name, rows in MLE_STUDIES.items()
+    }}
+    for name, study in mle_studies.items():
+        add("mle", (name, "newton_mle"), _outcome(lambda: cv.newton_mle(study)))
+        for level in VJ_LEVELS:
+            add("mle", (name, level), _outcome(lambda: cv.vj_interval(study, level)))
 
     return [f"{digest.hexdigest()} {counts[group]:>5} {group}" for group, digest in groups.items()]
 
