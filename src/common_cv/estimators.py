@@ -52,10 +52,16 @@ def new_estimate(study: Study | Sequence[SampleSummary]) -> float:
     inverse CVs cancels to exactly zero (possible with mixed-sign means).
     """
     ns, means, sds, _ = group_arrays(_read_once(study))
+    return float(np.sum(ns)) / _inverse_cv_sum(ns, means, sds)
+
+
+def _inverse_cv_sum(ns, means, sds) -> float:
+    """sum_i n_i*mean_i/sd_i, the denominator of :func:`new_estimate`, or
+    DegenerateDenominatorError if it is exactly zero."""
     denom = float(np.sum(ns * (means / sds)))
     if denom == 0.0:
         raise DegenerateDenominatorError("weighted inverse CVs sum to zero")
-    return float(np.sum(ns)) / denom
+    return denom
 
 
 def _theta_arrays(study: Study | Sequence[SampleSummary], theta: ParameterVector | tuple) -> tuple:
@@ -160,7 +166,8 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     score is then h(p)/phi^3 with h(p) = sum_i n_i*(1 - 1/u_i), so the MLE
     is the root of h, located by a bracketed secant search that narrows
     the bracket to adjacent floats (:func:`_bracketed_root`); phi takes the
-    sign of :func:`new_estimate`.
+    sign of :func:`new_estimate`, read from its denominator, so a study
+    whose inverse CVs sum to exactly zero raises as it does.
 
     A group whose mean has phi's sign contributes
     n_i*2*(q_i - p)/(1 + 2*q_i + R_i), with R_i = sqrt(1 + 4*p*(1 + q_i)):
@@ -176,9 +183,8 @@ def newton_mle(study: Study | Sequence[SampleSummary]) -> ParameterVector:
     h is evaluated on plain floats: k is small, and a numpy call costs more
     than the arithmetic on a few groups.
     """
-    study = _read_once(study)
-    ns, means, sds, _ = group_arrays(study)
-    sign = math.copysign(1.0, new_estimate(study))
+    ns, means, sds, _ = group_arrays(_read_once(study))
+    sign = math.copysign(1.0, _inverse_cv_sum(ns, means, sds))
     # per group: n_i, q_i, and whether the mean has phi's sign
     groups = [
         (n, (n - 1.0) * (sd * sd) / (n * (mean * mean)) if mean * mean else math.nan, sign * mean > 0.0)

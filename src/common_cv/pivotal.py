@@ -28,7 +28,10 @@ layout, so under one seed the three pivots are functions of the same
 randomness.  Replicates come in blocks of 2^15, each drawn from the
 sub-stream keyed by its block index (:func:`_variate_slices`).  The
 blocks of one call are filled on up to one thread per CPU, so each
-value is the same bit for bit for any thread count.
+value is the same bit for bit for any thread count.  A caller may draw a
+call's block 0 before the call (:func:`_first_block`) and hand it in, as
+the coverage study does on a helper thread; the call then reads the same
+values it would have drawn.
 
 A value that is not finite (a zero denominator, or overflow) is
 degenerate for its method.  That replicate is regenerated from the
@@ -115,12 +118,17 @@ def _variate_slices(stream: SeededStream, dfs: np.ndarray, b: int):
     ``_SLICE`` rows: yields (first row, u rows, zg rows).  The stream is
     read as all (b, k) chi-squares, then the (b, k) normals row by row,
     then the b spare normals, which no pivot uses; only one pass's normals
-    are held at a time.  Equal dfs are drawn from their one value as a
-    scalar df: numpy draws every value by the same sampler in the same
-    order as for the array, so to the same bits, but without broadcasting
-    the dfs over the (b, k) output."""
+    are held at a time.  A block of one pass draws its normals and the
+    spare ones in one call, which reads the stream in the same order.
+    Equal dfs are drawn from their one value as a scalar df: numpy draws
+    every value by the same sampler in the same order as for the array, so
+    to the same bits, but without broadcasting the dfs over the (b, k)
+    output."""
     distinct = set(dfs.tolist())
     u = stream.chi_square(distinct.pop() if len(distinct) == 1 else dfs, size=(b, dfs.size))
+    if b <= _SLICE:
+        yield 0, u, stream.standard_normal(b * (dfs.size + 1))[:b * dfs.size].reshape(b, dfs.size)
+        return
     for first in range(0, b, _SLICE):
         zg = stream.standard_normal((min(_SLICE, b - first), dfs.size))
         yield first, u[first:first + _SLICE], zg
@@ -362,12 +370,24 @@ def _draw_args(m, seed):
     return m, checked_seed(seed)
 
 
-def _pivot_value_arrays(study, methods, m, seed, reduce=None):
+def _first_block(seed, dfs, m):
+    """Block 0 of an engine call at (m, seed) on groups with these dfs,
+    drawn ahead of the call: (the call's base stream, the block's kernel
+    passes as :func:`_variate_slices` yields them, its spare normals
+    drawn)."""
+    base = SeededStream(seed)
+    return base, list(_variate_slices(base.substream(ROLE_PIVOT_BLOCK, 0), dfs, min(_BLOCK, m)))
+
+
+def _pivot_value_arrays(study, methods, m, seed, reduce=None, block=None):
     """Shared engine: m draws per requested method from one base layout,
     each method's reduced as it is drawn.
 
     ``reduce`` makes one reducer per method (the default keeps every draw:
-    :class:`_Values`).  Returns ({method: its reducer's result},
+    :class:`_Values`).  ``block``, if given, is :func:`_first_block` at
+    this call's (m, seed) and dfs: the call reads its block 0 from it and
+    derives every other stream from its base stream, so it draws the same
+    values it would draw itself.  Returns ({method: its reducer's result},
     {method: rejected_count}), both empty when no method is requested; a
     method named twice is drawn and reduced once.  A method whose draws
     failed maps to its NumericalError instead, and the other methods are
@@ -393,7 +413,7 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
     if not methods:
         return {}, {}
     groups = group_arrays(study)
-    base = SeededStream(seed)
+    base = block[0] if block else SeededStream(seed)
     blocks = -(-m // _BLOCK)
     workers = min(_WORKERS, blocks)
     reducers = {method: reduce() if reduce else _Values(m) for method in methods}
@@ -416,8 +436,11 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
         # a function, so that a block's arrays are freed before the next
         # block is drawn: a thread holds one block's working set at a time
         start = i * _BLOCK
-        stream = base.substream(ROLE_PIVOT_BLOCK, i)
-        for first, u, zg in _variate_slices(stream, groups.dfs, min(_BLOCK, m - start)):
+        if i == 0 and block:
+            passes = block[1]
+        else:
+            passes = _variate_slices(base.substream(ROLE_PIVOT_BLOCK, i), groups.dfs, min(_BLOCK, m - start))
+        for first, u, zg in passes:
             feed(start + first, _pivot_values(groups, u, zg))
             del u, zg  # so the block's arrays are freed before its spare normals are drawn
 
@@ -530,18 +553,19 @@ def intervals(study: Study, methods: Sequence[Method], level: float, m: int, see
     return results
 
 
-def _interval_ends(study, methods, level, m, seed):
+def _interval_ends(study, methods, level, m, seed, block=None):
     """{method: its ends or its NumericalError}, in ``methods`` order, for
     arguments :func:`intervals` has checked (a SimConfig checks them once
     per cell): ``vj``'s IntervalResult, and each pivotal method's
     (lower, upper), which :func:`intervals` wraps in a result.  The
-    pivotal methods share one engine call; ``vj`` ignores m and seed."""
+    pivotal methods share one engine call, which reads ``block`` as
+    :func:`_pivot_value_arrays` does; ``vj`` ignores m and seed."""
     pivotal = tuple(method for method in methods if method is not Method.VERRILL_JOHNSON)
     found = {}
     if pivotal:
         alpha = 1.0 - level
         lo, hi = _order_index(alpha / 2.0, m), _order_index(1.0 - alpha / 2.0, m)
-        found = _pivot_value_arrays(study, pivotal, m, seed, lambda: _Tails(m, lo, hi))[0]
+        found = _pivot_value_arrays(study, pivotal, m, seed, lambda: _Tails(m, lo, hi), block)[0]
     ends = {}
     for method in methods:
         if method is Method.VERRILL_JOHNSON:
@@ -616,6 +640,24 @@ def _all_pivotal(reduce, groups, arg, m, seed):
     return reduce(groups, PIVOTAL_METHODS, arg, m, seed)
 
 
+_flights, _flights_lock = {}, threading.Lock()  # a lock per key that a thread is looking up
+
+
+def _single_flight(*key):
+    """:func:`_all_pivotal` at ``key``, looked up by one thread at a time:
+    threads that miss one key together make one engine call, and the
+    others wait for it and find its entry kept."""
+    with _flights_lock:
+        flight = _flights.setdefault(key, threading.Lock())
+    try:
+        with flight:
+            return _all_pivotal(*key)
+    finally:
+        with _flights_lock:
+            if _flights.get(key) is flight:
+                del _flights[key]
+
+
 def _key_groups(study):
     """The checked groups' (n, mean, sd) triples, without labels, read once,
     so that equal group values share an entry of :func:`_all_pivotal`; no
@@ -637,7 +679,7 @@ def confidence_interval(study: Study, method: Method, level: float, m: int, seed
         return _returned(intervals(study, (method,), level, m, seed)[method])
     level = checked_real(level, "confidence level", 0.0, 1.0)
     m, seed = _draw_args(m, seed)
-    return _returned(_all_pivotal(intervals, _key_groups(study), level, m, seed)[method])
+    return _returned(_single_flight(intervals, _key_groups(study), level, m, seed)[method])
 
 
 def gpq_interval(study: Study, method: Method, level: float, m: int, seed: int) -> IntervalResult:
@@ -660,5 +702,5 @@ def gpq_test(
     phi0, alternative = _test_args(phi0, alternative)
     m, seed = _draw_args(m, seed)
     _check_pivotal((method,))
-    counts = _all_pivotal(_counts, _key_groups(study), phi0, m, seed)[method]
+    counts = _single_flight(_counts, _key_groups(study), phi0, m, seed)[method]
     return _returned(_test_result(method, counts, phi0, alternative, m, seed))

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -248,6 +249,122 @@ class TestFailureAccounting:
         assert math.isnan(patched.performance[Method.NEW].coverage)
         for method in (Method.TIAN, Method.COMBINED):
             assert patched.performance[method] == clean.performance[method]
+
+
+class TestLookahead:
+    """With more than one CPU a helper thread draws each replication's
+    first pivot block ahead of it; every result is the one a single CPU
+    gives, and the helper is gone when run_study returns or raises."""
+
+    CELLS = {
+        "clean": dict(phi=0.3, mus=(1.0, 2.0, 3.0), ns=(4, 9, 20), reps=40, m=2000),
+        # 10 of the 200 datasets overflow: their blocks are drawn and dropped
+        "failing data": dict(phi=1.0, mus=(3e153,) * 3, ns=(10, 10, 10), reps=200, m=100),
+        "two blocks": dict(phi=0.2, mus=(2.0, 3.0), ns=(6, 11), reps=3, m=2**15 + 17),
+    }
+
+    @staticmethod
+    def _flagging(methods, period):
+        """A kernel that marks every period-th row from row 7 degenerate for
+        ``methods``, in each pass of more than one row."""
+        original = pivotal._pivot_values
+
+        def kernel(groups, u, zg):
+            pivots = original(groups, u, zg)
+            if len(u) > 1:
+                for method in methods:
+                    vals, bad = pivots[method]
+                    pivots[method] = vals, bad | (np.arange(len(u)) % period == 7)
+            return pivots
+
+        return kernel
+
+    @staticmethod
+    def _on_one_and_two_cpus(monkeypatch, cfg):
+        """run_study on one and on two CPUs, each result by its repr: a
+        float's repr gives its value exactly, and a nan equals itself."""
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pivotal, "_WORKERS", workers)
+            runs.append(run_study(cfg))
+        return runs, [repr(run) for run in runs]
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_results_do_not_depend_on_worker_count(self, monkeypatch, cell):
+        cfg = SimConfig(**self.CELLS[cell], master_seed=3)
+        (one, _), (text_one, text_two) = self._on_one_and_two_cpus(monkeypatch, cfg)
+        assert text_one == text_two
+        failures = [perf.failures for perf in one.performance.values()]
+        assert (cell == "failing data") == any(failures)
+
+    @pytest.mark.parametrize("kernel", [
+        pytest.param(((Method.TIAN, Method.NEW, Method.COMBINED), 199), id="0.5% of rows"),
+        pytest.param(((Method.NEW,), 50), id="2% of new's rows"),
+    ])
+    def test_regenerated_rows_do_not_depend_on_worker_count(self, monkeypatch, kernel):
+        # regenerated rows come from sub-streams of the helper's base stream
+        monkeypatch.setattr(pivotal, "_pivot_values", self._flagging(*kernel))
+        for cell in ("clean", "two blocks"):
+            cfg = SimConfig(**self.CELLS[cell], master_seed=3)
+            (one, _), (text_one, text_two) = self._on_one_and_two_cpus(monkeypatch, cfg)
+            assert text_one == text_two
+            assert (one.performance[Method.NEW].failures == one.config.reps) == (kernel[1] == 50)
+
+    @staticmethod
+    def _raise_on_call(n, error):
+        calls = []
+
+        def raising(*args):
+            calls.append(args)
+            if len(calls) == n:
+                raise error
+
+        return raising
+
+    @pytest.mark.parametrize("error", [RuntimeError("mid-cell"), KeyboardInterrupt()])
+    def test_helper_joined_when_the_caller_raises(self, monkeypatch, error):
+        add = simulate._Tally.add
+        raising = self._raise_on_call(9, error)
+        monkeypatch.setattr(simulate._Tally, "add", lambda self, *args: raising() or add(self, *args))
+        monkeypatch.setattr(pivotal, "_WORKERS", 2)
+        before = threading.active_count()
+        with pytest.raises(type(error)):
+            run_study(config())
+        assert threading.active_count() == before
+
+    def test_helper_error_raised_by_the_caller(self, monkeypatch):
+        first_block = simulate._first_block
+        raising = self._raise_on_call(3, ValueError("third block"))
+        monkeypatch.setattr(simulate, "_first_block", lambda *args: raising(*args) or first_block(*args))
+        monkeypatch.setattr(pivotal, "_WORKERS", 2)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^third block$"):
+            run_study(config())
+        assert threading.active_count() == before
+
+    def test_helper_joined_on_return(self, monkeypatch):
+        monkeypatch.setattr(pivotal, "_WORKERS", 2)
+        before = threading.active_count()
+        run_study(config())
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers, methods, started", [
+        (1, ALL_METHODS, 0),
+        (2, (Method.VERRILL_JOHNSON,), 0),
+        (2, ALL_METHODS, 1),
+    ])
+    def test_helper_started_with_a_second_cpu_and_a_pivotal_method(self, monkeypatch, workers, methods, started):
+        starts = []
+        original_start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread)
+            original_start(thread)
+
+        monkeypatch.setattr(pivotal, "_WORKERS", workers)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        run_study(config(methods=methods))
+        assert len(starts) == started
 
 
 class TestRunGrid:

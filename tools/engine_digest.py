@@ -20,7 +20,10 @@ of cases and the group's name.  The groups are:
   branch);
 - ``intervals`` (all four methods) and ``gpq_tests`` (every alternative);
 - ``generate_draws`` for each pivotal method;
-- ``run_study`` on a balanced and an unbalanced cell;
+- ``run_study`` on a balanced and an unbalanced cell and on a cell of two
+  blocks per engine call (m = 2^15 + 17), at every seed below, on one and
+  on two worker threads (on two, a helper thread draws each replication's
+  first block ahead of it), with each of the three kernels;
 - ``mle``: ``newton_mle`` (phi and the sigmas) and ``vj_interval`` at
   each of ``VJ_LEVELS``, on the studies above, on the profile-root studies
   of the estimator tests, on pairs of n and n - 1 observations whose means
@@ -179,11 +182,14 @@ def lines(ms=MS, seeds=SEEDS, reps=REPS) -> list[str]:
                 draws if isinstance(draws, Exception) else (draws.values, draws.rejected, draws.seed))
 
     cells = {
-        "balanced": dict(phi=0.1, mus=(1.0, 1.0, 1.0), ns=(5, 5, 5)),
-        "unbalanced": dict(phi=0.3, mus=(-1.0, -2.0, -3.0), ns=(4, 9, 20)),
+        "balanced": dict(phi=0.1, mus=(1.0, 1.0, 1.0), ns=(5, 5, 5), m=2000),
+        "unbalanced": dict(phi=0.3, mus=(-1.0, -2.0, -3.0), ns=(4, 9, 20), m=2000),
+        "two blocks": dict(phi=0.2, mus=(2.0, 3.0), ns=(6, 11), m=2**15 + 17),
     }
-    for (name, cell), seed in itertools.product(cells.items(), seeds):
-        add("run_study", (name, seed), run_study(SimConfig(**cell, reps=reps, m=2000, master_seed=seed)))
+    for (name, cell), seed, workers, kernel in itertools.product(cells.items(), seeds, (1, 2), kernels):
+        with _patched(pivotal, workers, kernels[kernel]):
+            result = _outcome(lambda: run_study(SimConfig(**cell, reps=reps, master_seed=seed)))
+        add("run_study", (name, seed, workers, kernel), result)
 
     mle_studies = {**studies, **{
         name: [cv.SampleSummary(n=n, mean=mean, sd=sd) for n, mean, sd in rows] for name, rows in MLE_STUDIES.items()
