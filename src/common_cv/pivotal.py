@@ -118,17 +118,13 @@ def _variate_slices(stream: SeededStream, dfs: np.ndarray, b: int):
     ``_SLICE`` rows: yields (first row, u rows, zg rows).  The stream is
     read as all (b, k) chi-squares, then the (b, k) normals row by row,
     then the b spare normals, which no pivot uses; only one pass's normals
-    are held at a time.  A block of one pass draws its normals and the
-    spare ones in one call, which reads the stream in the same order.
+    are held at a time while the caller drops each pass before the next.
     Equal dfs are drawn from their one value as a scalar df: numpy draws
     every value by the same sampler in the same order as for the array, so
     to the same bits, but without broadcasting the dfs over the (b, k)
     output."""
     distinct = set(dfs.tolist())
     u = stream.chi_square(distinct.pop() if len(distinct) == 1 else dfs, size=(b, dfs.size))
-    if b <= _SLICE:
-        yield 0, u, stream.standard_normal(b * (dfs.size + 1))[:b * dfs.size].reshape(b, dfs.size)
-        return
     for first in range(0, b, _SLICE):
         zg = stream.standard_normal((min(_SLICE, b - first), dfs.size))
         yield first, u[first:first + _SLICE], zg
@@ -374,7 +370,8 @@ def _first_block(seed, dfs, m):
     """Block 0 of an engine call at (m, seed) on groups with these dfs,
     drawn ahead of the call: (the call's base stream, the block's kernel
     passes as :func:`_variate_slices` yields them, its spare normals
-    drawn)."""
+    drawn).  It holds every pass's normals at once: at m > 2^13 that is
+    up to four passes, (min(m, 2^15), k) floats besides the chi-squares."""
     base = SeededStream(seed)
     return base, list(_variate_slices(base.substream(ROLE_PIVOT_BLOCK, 0), dfs, min(_BLOCK, m)))
 
@@ -640,24 +637,6 @@ def _all_pivotal(reduce, groups, arg, m, seed):
     return reduce(groups, PIVOTAL_METHODS, arg, m, seed)
 
 
-_flights, _flights_lock = {}, threading.Lock()  # a lock per key that a thread is looking up
-
-
-def _single_flight(*key):
-    """:func:`_all_pivotal` at ``key``, looked up by one thread at a time:
-    threads that miss one key together make one engine call, and the
-    others wait for it and find its entry kept."""
-    with _flights_lock:
-        flight = _flights.setdefault(key, threading.Lock())
-    try:
-        with flight:
-            return _all_pivotal(*key)
-    finally:
-        with _flights_lock:
-            if _flights.get(key) is flight:
-                del _flights[key]
-
-
 def _key_groups(study):
     """The checked groups' (n, mean, sd) triples, without labels, read once,
     so that equal group values share an entry of :func:`_all_pivotal`; no
@@ -679,7 +658,7 @@ def confidence_interval(study: Study, method: Method, level: float, m: int, seed
         return _returned(intervals(study, (method,), level, m, seed)[method])
     level = checked_real(level, "confidence level", 0.0, 1.0)
     m, seed = _draw_args(m, seed)
-    return _returned(_single_flight(intervals, _key_groups(study), level, m, seed)[method])
+    return _returned(_all_pivotal(intervals, _key_groups(study), level, m, seed)[method])
 
 
 def gpq_interval(study: Study, method: Method, level: float, m: int, seed: int) -> IntervalResult:
@@ -702,5 +681,5 @@ def gpq_test(
     phi0, alternative = _test_args(phi0, alternative)
     m, seed = _draw_args(m, seed)
     _check_pivotal((method,))
-    counts = _single_flight(_counts, _key_groups(study), phi0, m, seed)[method]
+    counts = _all_pivotal(_counts, _key_groups(study), phi0, m, seed)[method]
     return _returned(_test_result(method, counts, phi0, alternative, m, seed))

@@ -28,7 +28,8 @@ gives, and no more streams are built.  The helper runs free of the data:
 a replication whose data fail has its block drawn and dropped, and no
 output reads it.  It is stopped and joined before :func:`run_study`
 returns or raises, and its error is raised on the calling thread.  With
-one CPU no thread is started.
+one CPU no thread is started: the helper would only share the calling
+thread's CPU, and cells ran 3-4% slower with it.
 """
 
 from __future__ import annotations
@@ -213,8 +214,7 @@ def run_study(config: SimConfig) -> SimResult:
                 # Data that cannot be summarized (zero mean or spread, an overflowing sum) fail every method.
                 found = dict.fromkeys(config.methods, exc)
             else:
-                seed = block[0].master_seed if block else _pivot_seed(config, r)
-                found = _interval_ends(study, config.methods, config.level, config.m, seed, block)
+                found = _interval_ends(study, config.methods, config.level, config.m, _pivot_seed(config, r), block)
             for m, ends in found.items():
                 tallies[m].add(ends, target)
     finally:

@@ -1209,49 +1209,6 @@ class TestFrontDoorMemo:
         assert all(expected == got for expected, got in found)
         assert max(sizes) <= pivotal._all_pivotal.cache_info().maxsize
 
-    def test_threads_that_miss_together_make_one_call_per_key(self, hospital, monkeypatch):
-        # 4 threads released together ask for 4 keys (two seeds, an
-        # interval and a test each): the first to miss a key draws, and
-        # the others wait for it and find its entry
-        calls = self._engine_calls(monkeypatch)
-        found, start = [], threading.Barrier(4)
-
-        def work():
-            start.wait()
-            for seed in (4, 5):
-                for method in PIVOTAL:
-                    found.append(confidence_interval(hospital, method, 0.95, 200_000, seed))
-                    found.append(gpq_test(hospital, method, 0.8, "less", 200_000, seed))
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(calls) == 4 and len(found) == 4 * 2 * 2 * len(PIVOTAL)
-        assert pivotal._flights == {}
-
-    def test_a_kept_error_is_raised_afresh_in_every_thread(self, surveys, monkeypatch):
-        monkeypatch.setattr(
-            pivotal, "_pivot_values", TestDegenerateHandling._flag_first_rows(0.02, (Method.NEW,))
-        )
-        calls = self._engine_calls(monkeypatch)
-        errors, start = [], threading.Barrier(3)
-
-        def work():
-            start.wait()
-            try:
-                confidence_interval(surveys, Method.NEW, 0.95, 2000, seed=0)
-            except DegenerateRateError as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(calls) == 1 and len(errors) == 3 and len({id(error) for error in errors}) == 3
-
 
 def test_pivotal_draws_value_object(surveys):
     draws = generate_draws(surveys, Method.NEW, 500, seed=1)
