@@ -16,36 +16,24 @@ fail one by one, so the others keep their results.  A replication whose
 data cannot be summarized (zero mean or spread, or a sum that overflows)
 fails every method.
 
-Where the process may use more than one CPU (``pivotal._WORKERS > 1``,
-read at each call) and the cell has a pivotal method, one helper thread
-draws block 0 of each replication's engine call, in replication order and
-at most two blocks ahead, while the calling thread simulates the data and
-runs the kernel, the tails, vj and the tally of an earlier replication.
-numpy's generator releases the GIL while it fills an array, so the
-variates are drawn on another CPU.  The engine reads the block and the
-base stream it was drawn from, so every output is the one a single CPU
-gives, and no more streams are built.  The helper runs free of the data:
-a replication whose data fail has its block drawn and dropped, and no
-output reads it.  It is stopped and joined before :func:`run_study`
-returns or raises, and its error is raised on the calling thread.  With
-one CPU no thread is started: the helper would only share the calling
-thread's CPU, and cells ran 3-4% slower with it.
+Replications run one at a time, in order, on the calling thread.  A
+replication's engine call starts threads only when it makes more than
+2^15 draws, and then fills its blocks on up to one thread per CPU (see
+:mod:`.pivotal`).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pivotal
 from .errors import NumericalError, ValidationError
 from .model import ALL_METHODS, PIVOTAL_METHODS, IntervalResult, Method, Study, _iterated, summarize
 # None of these four is called here; perfbench/tracer.py wraps these bindings.
 from .pivotal import _pivot_value_arrays, generate_draws, quantile, vj_interval  # noqa: F401
-from .pivotal import _draw_args, _first_block, _interval_ends
+from .pivotal import _draw_args, _interval_ends
 from .randgen import ROLE_SIM_DATA, ROLE_SIM_PIVOTS, SeededStream, checked_int, checked_real, checked_seed
 from .randgen import mix_components
 
@@ -144,53 +132,6 @@ class _Tally:
         )
 
 
-def _pivot_seed(config: SimConfig, r: int) -> int:
-    # The 0 in both stream keys stays: dropping it would change every replication's data and draws.
-    return mix_components(config.master_seed, ROLE_SIM_PIVOTS, 0, r)
-
-
-class _Lookahead:
-    """Block 0 of every replication's engine call, in replication order,
-    drawn on one helper thread at most ``AHEAD`` blocks ahead of the
-    replication the calling thread works on."""
-
-    AHEAD = 2
-
-    def __init__(self, config: SimConfig):
-        self._blocks, self._error, self._closed = [], None, False
-        self._ready, self._room = threading.Semaphore(0), threading.Semaphore(self.AHEAD)
-        self._thread = threading.Thread(target=self._draw, args=(config,))
-        self._thread.start()
-
-    def _draw(self, config):
-        dfs = np.array(config.ns, dtype=float) - 1.0
-        try:
-            for r in range(config.reps):
-                self._room.acquire()
-                if self._closed:
-                    return
-                self._blocks.append(_first_block(_pivot_seed(config, r), dfs, config.m))
-                self._ready.release()
-        except BaseException as exc:  # raised on the calling thread by take()
-            self._error = exc
-            self._ready.release()
-
-    def take(self):
-        """The next replication's block, or the helper's error once every
-        block drawn before it is taken."""
-        self._ready.acquire()
-        if not self._blocks:
-            raise self._error
-        self._room.release()
-        return self._blocks.pop(0)
-
-    def close(self):
-        """Stop the helper after the block it is drawing, and join it."""
-        self._closed = True
-        self._room.release()
-        self._thread.join()
-
-
 def run_study(config: SimConfig) -> SimResult:
     """Estimate coverage and average length for one cell.
 
@@ -201,25 +142,19 @@ def run_study(config: SimConfig) -> SimResult:
     # Data drawn with negative means have CV -phi.
     target = math.copysign(config.phi, config.mus[0])
     tallies = {m: _Tally() for m in config.methods}
-    ahead = None
-    if pivotal._WORKERS > 1 and any(m in PIVOTAL_METHODS for m in config.methods):
-        ahead = _Lookahead(config)
 
-    try:
-        for r in range(config.reps):
-            block = ahead.take() if ahead else None  # drawn, and dropped if the data fail
-            try:
-                study = _simulate_study(config, root.substream(ROLE_SIM_DATA, 0, r))
-            except (ValidationError, NumericalError) as exc:
-                # Data that cannot be summarized (zero mean or spread, an overflowing sum) fail every method.
-                found = dict.fromkeys(config.methods, exc)
-            else:
-                found = _interval_ends(study, config.methods, config.level, config.m, _pivot_seed(config, r), block)
-            for m, ends in found.items():
-                tallies[m].add(ends, target)
-    finally:
-        if ahead:
-            ahead.close()
+    # The 0 in both stream keys stays: dropping it would change every replication's data and draws.
+    for r in range(config.reps):
+        try:
+            study = _simulate_study(config, root.substream(ROLE_SIM_DATA, 0, r))
+        except (ValidationError, NumericalError) as exc:
+            # Data that cannot be summarized (zero mean or spread, an overflowing sum) fail every method.
+            found = dict.fromkeys(config.methods, exc)
+        else:
+            pivot_seed = mix_components(config.master_seed, ROLE_SIM_PIVOTS, 0, r)
+            found = _interval_ends(study, config.methods, config.level, config.m, pivot_seed)
+        for m, ends in found.items():
+            tallies[m].add(ends, target)
 
     return SimResult(config=config, performance={m: t.performance(m, config.reps) for m, t in tallies.items()})
 

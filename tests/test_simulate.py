@@ -251,15 +251,17 @@ class TestFailureAccounting:
             assert patched.performance[method] == clean.performance[method]
 
 
-class TestLookahead:
-    """With more than one CPU a helper thread draws each replication's
-    first pivot block ahead of it; every result is the one a single CPU
-    gives, and the helper is gone when run_study returns or raises."""
+class TestWorkerCount:
+    """Replications run on the calling thread; an engine call of more than
+    2^15 draws fills its blocks on up to ``_WORKERS`` threads.  Every
+    result is the one a single CPU gives, and the block threads are gone
+    when run_study returns or raises."""
 
     CELLS = {
         "clean": dict(phi=0.3, mus=(1.0, 2.0, 3.0), ns=(4, 9, 20), reps=40, m=2000),
-        # 10 of the 200 datasets overflow: their blocks are drawn and dropped
+        # 10 of the 200 datasets overflow
         "failing data": dict(phi=1.0, mus=(3e153,) * 3, ns=(10, 10, 10), reps=200, m=100),
+        # two blocks per engine call: on two workers, one block is filled on a thread of its own
         "two blocks": dict(phi=0.2, mus=(2.0, 3.0), ns=(6, 11), reps=3, m=2**15 + 17),
     }
 
@@ -302,7 +304,7 @@ class TestLookahead:
         pytest.param(((Method.NEW,), 50), id="2% of new's rows"),
     ])
     def test_regenerated_rows_do_not_depend_on_worker_count(self, monkeypatch, kernel):
-        # regenerated rows come from sub-streams of the helper's base stream
+        # the flagged rows of both blocks are regenerated once the block threads join
         monkeypatch.setattr(pivotal, "_pivot_values", self._flagging(*kernel))
         for cell in ("clean", "two blocks"):
             cfg = SimConfig(**self.CELLS[cell], master_seed=3)
@@ -310,50 +312,32 @@ class TestLookahead:
             assert text_one == text_two
             assert (one.performance[Method.NEW].failures == one.config.reps) == (kernel[1] == 50)
 
-    @staticmethod
-    def _raise_on_call(n, error):
-        calls = []
-
-        def raising(*args):
-            calls.append(args)
-            if len(calls) == n:
-                raise error
-
-        return raising
-
     @pytest.mark.parametrize("error", [RuntimeError("mid-cell"), KeyboardInterrupt()])
-    def test_helper_joined_when_the_caller_raises(self, monkeypatch, error):
-        add = simulate._Tally.add
-        raising = self._raise_on_call(9, error)
-        monkeypatch.setattr(simulate._Tally, "add", lambda self, *args: raising() or add(self, *args))
+    def test_block_threads_joined_when_the_caller_raises(self, monkeypatch, error):
+        add, calls = simulate._Tally.add, []
+
+        def raising(tally, *args):
+            calls.append(args)
+            if len(calls) == 9:  # the third replication's first tally, after its engine call
+                raise error
+            add(tally, *args)
+
+        monkeypatch.setattr(simulate._Tally, "add", raising)
         monkeypatch.setattr(pivotal, "_WORKERS", 2)
         before = threading.active_count()
         with pytest.raises(type(error)):
-            run_study(config())
+            run_study(SimConfig(**self.CELLS["two blocks"]))
         assert threading.active_count() == before
 
-    def test_helper_error_raised_by_the_caller(self, monkeypatch):
-        first_block = simulate._first_block
-        raising = self._raise_on_call(3, ValueError("third block"))
-        monkeypatch.setattr(simulate, "_first_block", lambda *args: raising(*args) or first_block(*args))
+    def test_block_threads_joined_on_return(self, monkeypatch):
         monkeypatch.setattr(pivotal, "_WORKERS", 2)
         before = threading.active_count()
-        with pytest.raises(ValueError, match="^third block$"):
-            run_study(config())
+        run_study(SimConfig(**self.CELLS["two blocks"]))
         assert threading.active_count() == before
 
-    def test_helper_joined_on_return(self, monkeypatch):
-        monkeypatch.setattr(pivotal, "_WORKERS", 2)
-        before = threading.active_count()
-        run_study(config())
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("workers, methods, started", [
-        (1, ALL_METHODS, 0),
-        (2, (Method.VERRILL_JOHNSON,), 0),
-        (2, ALL_METHODS, 1),
-    ])
-    def test_helper_started_with_a_second_cpu_and_a_pivotal_method(self, monkeypatch, workers, methods, started):
+    @pytest.mark.parametrize("workers, cell, per_call", [(2, "clean", 0), (1, "two blocks", 0), (2, "two blocks", 1)])
+    def test_threads_started(self, monkeypatch, workers, cell, per_call):
+        # a call of one block starts none, so a cell at m <= 2^15 runs on the calling thread alone
         starts = []
         original_start = threading.Thread.start
 
@@ -363,8 +347,8 @@ class TestLookahead:
 
         monkeypatch.setattr(pivotal, "_WORKERS", workers)
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        run_study(config(methods=methods))
-        assert len(starts) == started
+        run_study(SimConfig(**self.CELLS[cell]))
+        assert len(starts) == per_call * self.CELLS[cell]["reps"]
 
 
 class TestRunGrid:

@@ -22,13 +22,15 @@ of cases and the group's name.  The groups are:
 - ``generate_draws`` for each pivotal method;
 - ``run_study`` on a balanced and an unbalanced cell and on a cell of two
   blocks per engine call (m = 2^15 + 17), at every seed below, on one and
-  on two worker threads (on two, a helper thread draws each replication's
-  first block ahead of it), with each of the three kernels;
+  on two worker threads, with each of the three kernels;
 - ``mle``: ``newton_mle`` (phi and the sigmas) and ``vj_interval`` at
   each of ``VJ_LEVELS``, on the studies above, on the profile-root studies
   of the estimator tests, on pairs of n and n - 1 observations whose means
   nearly cancel, on a pair whose inverse CVs sum to zero and on a study
-  with a tiny mean.
+  with a tiny mean;
+- ``csv``: ``read_summary_csv``, ``read_raw_csv`` and ``read_grid_csv`` on
+  each of ``CSV_TEXTS``, read as a text stream, a binary stream (UTF-8)
+  and a file path: each result, or its error's class and message.
 
 The kernel patches go through ``pivotal._pivot_values`` and the thread
 count through ``pivotal._WORKERS``; a version that renames a private name
@@ -42,8 +44,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +60,7 @@ KERNELS = ("clean", "0.5% of rows", "2% of new's rows")
 VJ_LEVELS = (0.5, 0.95, 0.9999999999999999)
 GROUPS = (
     "engine values", "engine tails", "engine counts", "intervals", "gpq_tests", "generate_draws", "run_study", "mle",
+    "csv",
 )
 # (n, mean, sd) rows of the MLE's studies beyond the engine's: the roots of
 # the profile score that the estimator tests pin, mixed-sign pairs of n and
@@ -73,6 +78,34 @@ MLE_STUDIES = {
     **{f"mixed {n} beside {n - 1}": [(n, 1.0, 1.0), (n - 1, -1.0, 1.0)] for n in (20, 100, 1000, 10000)},
     "zero sum": [(2, 1.0, 1.0), (2, -1.0, 1.0)],
     "tiny mean": [(5, 1e-160, 1.0), (6, 2.0, 0.5), (7, 1.5, 0.4)],
+}
+
+SUMMARY = "group,n,mean,sd\nA,10,1.5,0.3\nB,12,2.5,0.4\n"
+RAW = "group,value\nA,1.0\nA,2.0\nB,3.0\nB,4.5\n"
+GRID = "phi,mu1,mu2,n1,n2\n0.1,1,2,10,10\n0.3,-1,-2.5,5,8\n"
+# inputs of the three CSV readers: each layout as written, and the quoting,
+# line breaks, byte order mark, blank lines and bad fields the readers meet
+CSV_TEXTS = {
+    "summary": SUMMARY,
+    "raw": RAW,
+    "grid": GRID,
+    "CRLF": SUMMARY.replace("\n", "\r\n"),
+    "BOM": "\ufeff" + RAW,
+    "header spaces": " phi , mu1,mu2 ,n1, n2\n 0.1 ,1,2,10,10\n",
+    "quoted comma": 'group,n,mean,sd\n"a, b",10,1.5,0.3\nB,12,2.5,0.4\n',
+    "quoted quote": 'group,value\n"say ""hi""",1.0\n"say ""hi""",2.0\nB,3.0\nB,4.0\n',
+    "quoted line break": 'group,n,mean,sd\n"two\nlines",10,1.5,0.3\nB,12,x,0.4\n',
+    "form feed": "group,value\nA\f,1.0\n\f\nA,2.0\nB,3.0\nB,\f4.0\n",
+    "line separator": "group,value\nA\u2028B,1.0\nA\u2028B,2.0\nC,3.0\nC,4.5\n",
+    "blank lines": "\n".join(["group,n,mean,sd", "", "A,10,1.5,0.3", "   ", "B,12,2.5,0.4", "", ""]),
+    "short row": "group,n,mean,sd\nA,10,1.5\n",
+    "long row": "phi,mu1,mu2,n1,n2\n0.1,1,2,10,10,7\n",
+    "non-numeric": "group,value\nA,1.0\nA,abc\n",
+    "not finite": "phi,mu1,mu2,n1,n2\n0.1,1,inf,10,10\n",
+    "n not whole": "group,n,mean,sd\nA,10,1.5,0.3\nB,2.5,1,1\n",
+    "empty label": "group,value\n ,1.0\n ,2.0\n",
+    "header only": "group,n,mean,sd\n",
+    "empty": "",
 }
 
 
@@ -127,6 +160,7 @@ def lines(ms=MS, seeds=SEEDS, reps=REPS) -> list[str]:
     replications per ``run_study`` cell."""
     import common_cv as cv
     from common_cv import pivotal
+    from common_cv.io import read_grid_csv, read_raw_csv, read_summary_csv
     from common_cv.simulate import SimConfig, run_study
 
     pivotal_methods = (cv.Method.TIAN, cv.Method.NEW, cv.Method.COMBINED)
@@ -198,6 +232,16 @@ def lines(ms=MS, seeds=SEEDS, reps=REPS) -> list[str]:
         add("mle", (name, "newton_mle"), _outcome(lambda: cv.newton_mle(study)))
         for level in VJ_LEVELS:
             add("mle", (name, level), _outcome(lambda: cv.vj_interval(study, level)))
+
+    readers = {"summary": read_summary_csv, "raw": read_raw_csv, "grid": read_grid_csv}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        for name, text in CSV_TEXTS.items():
+            path.write_bytes(text.encode("utf-8"))
+            sources = {"text": lambda: io.StringIO(text), "binary": lambda: io.BytesIO(text.encode("utf-8")),
+                       "path": lambda: path}
+            for (reader, read), (form, source) in itertools.product(readers.items(), sources.items()):
+                add("csv", (name, reader, form), _outcome(lambda: read(source())))
 
     return [f"{digest.hexdigest()} {counts[group]:>5} {group}" for group, digest in groups.items()]
 
