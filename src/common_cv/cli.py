@@ -4,7 +4,9 @@ Subcommands: estimate, ci, test, simulate, examples.  Exit codes: 0 on
 success, 1 for validation problems (bad flags, malformed input), 2 for
 numerical failures, 3 for I/O errors.  The default seed is 0, overridden
 by the COMMON_CV_SEED environment variable, which in turn is overridden
-by an explicit --seed; a seed is an integer in [0, 2^64).
+by an explicit --seed; a seed is an integer in [0, 2^64).  The parser
+converts --seed, COMMON_CV_SEED and --level, so a bad value is a usage
+error, reported before any input is read.
 """
 
 from __future__ import annotations
@@ -82,10 +84,13 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--json", action="store_true", help="emit one JSON object per result")
 
+    # argparse passes a string default through type= only when the flag is absent
+    seed = {"type": _seed, "default": os.environ.get("COMMON_CV_SEED", "0")}
+
     def add_mc_flags(p):
         p.add_argument("--method", choices=_METHOD_CHOICES, default="all")
         p.add_argument("--draws", type=int, default=_DEFAULT_DRAWS, help="Monte Carlo size")
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0 or COMMON_CV_SEED)")
+        p.add_argument("--seed", **seed, help="master seed (default 0 or COMMON_CV_SEED)")
 
     p_est = sub.add_parser("estimate", help="point estimates of the common CV")
     add_input_flags(p_est)
@@ -94,7 +99,7 @@ def _build_parser() -> _Parser:
     p_ci = sub.add_parser("ci", help="confidence intervals for the common CV")
     add_input_flags(p_ci)
     add_mc_flags(p_ci)
-    p_ci.add_argument("--level", type=float, default=0.95)
+    p_ci.add_argument("--level", type=_level, default=0.95)
     p_ci.set_defaults(func=_cmd_ci)
 
     p_test = sub.add_parser("test", help="hypothesis tests about the common CV")
@@ -112,41 +117,39 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--config", required=True, help="grid CSV: phi,mu1..muK,n1..nK")
     p_sim.add_argument("--reps", type=int, default=2000, help="replications per cell")
     p_sim.add_argument("--draws", type=int, default=2000, help="Monte Carlo size per interval")
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--level", type=float, default=0.95)
+    p_sim.add_argument("--seed", **seed)
+    p_sim.add_argument("--level", type=_level, default=0.95)
     p_sim.add_argument("--method", choices=_METHOD_CHOICES, default="all")
     p_sim.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ex = sub.add_parser("examples", help="analyze the two bundled datasets")
     p_ex.add_argument("--draws", type=int, default=_DEFAULT_DRAWS)
-    p_ex.add_argument("--seed", type=int, default=None)
+    p_ex.add_argument("--seed", **seed)
     p_ex.add_argument("--json", action="store_true")
     p_ex.set_defaults(func=_cmd_examples)
 
     return parser
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return checked_seed(args.seed)
-    env = os.environ.get("COMMON_CV_SEED")
-    if env is None:
-        return 0
-    try:
-        return checked_seed(int(env))
-    except ValueError:  # not an integer, or one out of range
-        raise errors.ValidationError(f"COMMON_CV_SEED must be an integer in [0, 2^64), got {env!r}") from None
+def _seed(text: str) -> int:
+    """A --seed or COMMON_CV_SEED value: an integer in [0, 2^64)."""
+    with contextlib.suppress(ValueError):  # not an integer, or one out of range
+        return checked_seed(int(text))
+    raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r} (--seed, else COMMON_CV_SEED)")
+
+
+def _level(text: str) -> float:
+    """A --level value: a number strictly between 0 and 1."""
+    with contextlib.suppress(ValueError):
+        if 0.0 < (level := float(text)) < 1.0:
+            return level
+    raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text!r}")
 
 
 def _resolve_methods(args, every: tuple[Method, ...]) -> tuple[Method, ...]:
     """The methods ``--method`` asks for, where "all" stands for ``every``."""
     return every if args.method == "all" else (Method(args.method),)
-
-
-def _check_level(level: float):
-    if not 0.0 < level < 1.0:
-        raise _UsageError(f"--level must be strictly between 0 and 1, got {level:g}")
 
 
 def _source(path: str):
@@ -225,29 +228,24 @@ def _print_records(records, line: str, as_json: bool):
 
 
 def _cmd_ci(args) -> None:
-    _check_level(args.level)
     study = _load_study(args)
-    seed = _resolve_seed(args)
-    results = intervals(study, _resolve_methods(args, ALL_METHODS), args.level, args.draws, seed)
+    results = intervals(study, _resolve_methods(args, ALL_METHODS), args.level, args.draws, args.seed)
     _print_records(_records(results, _INTERVAL_KEYS), _INTERVAL_LINE, args.json)
 
 
 def _cmd_test(args) -> None:
     study = _load_study(args)
-    seed = _resolve_seed(args)
     methods = _resolve_methods(args, PIVOTAL_METHODS)
-    results = gpq_tests(study, methods, args.null, args.alternative, args.draws, seed)
+    results = gpq_tests(study, methods, args.null, args.alternative, args.draws, args.seed)
     _print_records(_records(results, _TEST_KEYS), _TEST_LINE, args.json)
 
 
 def _cmd_simulate(args) -> None:
-    _check_level(args.level)
-    seed = _resolve_seed(args)
     methods = _resolve_methods(args, ALL_METHODS)
     configs = [
         SimConfig(
             phi=phi, mus=mus, ns=ns, reps=args.reps, m=args.draws,
-            level=args.level, methods=methods, master_seed=seed,
+            level=args.level, methods=methods, master_seed=args.seed,
         )
         for phi, mus, ns in read_grid_csv(_source(args.config))
     ]
@@ -268,14 +266,13 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_examples(args) -> None:
-    seed = _resolve_seed(args)
     datasets = [
         ("blood-analyte surveys", load_mcv_surveys()),
         ("hospital survival times", load_hospital_survival()),
     ]
     for name, study in datasets:
         est = _estimates(study)
-        records = list(_records(intervals(study, ALL_METHODS, 0.95, args.draws, seed), _INTERVAL_KEYS))
+        records = list(_records(intervals(study, ALL_METHODS, 0.95, args.draws, args.seed), _INTERVAL_KEYS))
         if args.json:
             print(json.dumps({"dataset": name, **est, "intervals": records}))
             continue

@@ -36,13 +36,15 @@ _Q_MAX = 2.0**510  # largest q_i searched: with p and every q_i at most 2^510, n
 def group_cvs(study: Study | Sequence[SampleSummary]) -> np.ndarray:
     """Per-group sample coefficients of variation sd_i/mean_i."""
     g = group_arrays(_read_once(study))
-    return g.sds / g.means
+    with np.errstate(over="ignore"):  # a CV beyond the float range reads inf
+        return g.sds / g.means
 
 
 def feltz_miller_estimate(study: Study | Sequence[SampleSummary]) -> float:
     """Pooled CV as the size-weighted arithmetic mean of group CVs."""
     ns, means, sds, _ = group_arrays(_read_once(study))
-    return float(np.sum(ns * (sds / means)) / np.sum(ns))
+    with np.errstate(over="ignore"):
+        return float(np.sum(ns * (sds / means)) / np.sum(ns))
 
 
 def new_estimate(study: Study | Sequence[SampleSummary]) -> float:
@@ -58,7 +60,8 @@ def new_estimate(study: Study | Sequence[SampleSummary]) -> float:
 def _inverse_cv_sum(ns, means, sds) -> float:
     """sum_i n_i*mean_i/sd_i, the denominator of :func:`new_estimate`, or
     DegenerateDenominatorError if it is exactly zero."""
-    denom = float(np.sum(ns * (means / sds)))
+    with np.errstate(over="ignore"):  # an inverse CV beyond the float range reads inf
+        denom = float(np.sum(ns * (means / sds)))
     if denom == 0.0:
         raise DegenerateDenominatorError("weighted inverse CVs sum to zero")
     return denom

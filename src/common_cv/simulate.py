@@ -4,7 +4,9 @@ Each replication draws one synthetic study (group i gets n_i observations
 from Normal(mu_i, (phi*mu_i)^2)), builds every requested interval on it,
 and records the interval length and whether it contains the true CV: phi,
 or -phi when the means are negative.  All methods see the same datasets,
-so differences between methods are not Monte Carlo noise.
+and the pivotal methods the same draws, so a difference between two
+methods usually carries less Monte Carlo noise than it would on separate
+datasets, though not none.
 Per-replication randomness is derived from (master_seed,
 replication_index), which makes every cell and every replication
 individually reproducible and independent of execution order.

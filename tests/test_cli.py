@@ -62,6 +62,16 @@ class TestUsage:
         assert "--level" in err and "between 0 and 1" in err
 
 
+    @pytest.mark.parametrize("command", ["ci", "simulate"])
+    @pytest.mark.parametrize("level", ["abc", "nan", "inf", "1.0", ""])
+    def test_bad_level_is_a_usage_error_naming_it(self, capsys, tmp_path, command, level):
+        args = {"ci": ("ci", "--input", SURVEYS_PATH, "--summary"), "simulate": ("simulate", "--config", write_grid(tmp_path))}
+        code, out, err = run(capsys, *args[command], "--level", level)
+        assert (code, out) == (1, "")
+        # a non-number reads as out of range, not as argparse's "invalid _level value"
+        assert err == f"common-cv: error: argument --level: must be strictly between 0 and 1, got {level!r}\n"
+
+
 class TestEstimate:
     def test_table_output(self, capsys, hospital):
         code, out, err = run(capsys, "estimate", "--input", HOSPITAL_PATH)
@@ -322,6 +332,45 @@ class TestCi:
         assert code == 0
         assert json.loads(out)["seed"] == 2**64 - 1
 
+    @pytest.mark.parametrize("flag, env", [
+        ("-1", None), ("1.5", None), ("seven", None), (None, "lots"), (None, "-3"), (None, ""),
+    ])
+    def test_bad_seed_is_a_usage_error_naming_it(self, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("COMMON_CV_SEED", env)
+        args = ("--seed", flag) if flag is not None else ()
+        code, out, err = run(capsys, "ci", "--input", SURVEYS_PATH, "--summary", "--draws", "300", *args)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"common-cv: error: argument --seed: must be an integer in [0, 2^64), "
+            f"got {flag if flag is not None else env!r} (--seed, else COMMON_CV_SEED)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["ci", "test", "simulate", "examples"])
+    def test_explicit_seed_beats_a_bad_env_seed(self, capsys, monkeypatch, tmp_path, command):
+        args = {
+            "ci": ("ci", "--input", SURVEYS_PATH, "--summary", "--draws", "300", "--method", "new"),
+            "test": ("test", "--input", SURVEYS_PATH, "--summary", "--draws", "300", "--null", "0.04"),
+            "simulate": ("simulate", "--config", write_grid(tmp_path), "--reps", "2", "--draws", "200"),
+            "examples": ("examples", "--draws", "300"),
+        }[command]
+        monkeypatch.setenv("COMMON_CV_SEED", "lots")
+        code, out, err = run(capsys, *args, "--seed", "4")
+        assert (code, err) == (0, "")
+        monkeypatch.delenv("COMMON_CV_SEED")
+        assert out == run(capsys, *args, "--seed", "4")[1]
+
+    @pytest.mark.parametrize("flags, env", [
+        (("--seed", "-1"), None), (("--level", "1.5"), None), ((), "-3"),
+    ], ids=["--seed", "--level", "COMMON_CV_SEED"])
+    def test_bad_seed_or_level_reported_before_the_input_is_read(self, capsys, monkeypatch, tmp_path, flags, env):
+        # the parser rejects the value before a missing file can give exit code 3
+        if env is not None:
+            monkeypatch.setenv("COMMON_CV_SEED", env)
+        code, out, err = run(capsys, "ci", "--input", str(tmp_path / "nope.csv"), *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"common-cv: error: argument {flags[0] if flags else '--seed'}: ")
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "ci", "--input", str(tmp_path / "nope.csv"))
         assert code == 3
@@ -349,6 +398,16 @@ class TestCi:
         assert code == 2
         assert err.startswith("common-cv: numerical failure: ") and "Traceback" not in err
         assert len(out.splitlines()) == lines_before
+
+    def test_inverse_cv_beyond_float_range_prints_no_warning(self, capsys, tmp_path):
+        # 1 / 1e-320 overflows to inf: tian prints, then vj's q_i of 0 fails
+        path = tmp_path / "tiny_sd.csv"
+        path.write_text("group,n,mean,sd\na,5,1.0,1e-320\nb,5,1.0,0.3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "ci", "--input", str(path), "--summary", "--draws", "300")
+        assert code == 2 and out.startswith("method=tian ") and len(out.splitlines()) == 1
+        assert err == "common-cv: numerical failure: a group's (n-1) sd^2 / (n mean^2) is not a finite positive float <= 2^510\n"
 
     def test_estimate_where_inverse_cvs_sum_to_zero(self, capsys, tmp_path):
         path = tmp_path / "zero.csv"

@@ -27,7 +27,8 @@ from common_cv.estimators import (
     score_and_hessian,
     vj_interval,
 )
-from common_cv.model import Method, ParameterVector, SampleSummary, Study, group_arrays, summarize
+from common_cv.model import ALL_METHODS, Method, ParameterVector, SampleSummary, Study, group_arrays, summarize
+from common_cv.pivotal import intervals
 from oracles.mle_profile import loglik, profile_sigmas
 
 
@@ -583,6 +584,54 @@ class TestVjInterval:
         other = vj_interval(scaled, 0.95)
         assert other.lower == pytest.approx(base.lower, rel=1e-9)
         assert other.upper == pytest.approx(base.upper, rel=1e-9)
+
+
+# a group whose inverse CV (an sd of 1e-320 beside a mean of 1) or CV (an sd
+# of 1e300 beside a mean of 1e-300) leaves the float range
+OVERFLOWING = {
+    "tiny sd": study_of((5, 5), (1.0, 1.0), (1e-320, 0.3)),
+    "huge cv": study_of((5, 5), (1e-300, 1.0), (1e300, 0.3)),
+}
+
+
+class TestOverflowingGroup:
+    """An overflowing CV or inverse CV reads inf, with no RuntimeWarning,
+    and the MLE rejects the group's q_i of 0 or inf."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("name, cvs", [("tiny sd", [1e-320, 0.3]), ("huge cv", [math.inf, 0.3])])
+    def test_group_cvs(self, name, cvs):
+        assert group_cvs(OVERFLOWING[name]).tolist() == cvs
+
+    @pytest.mark.parametrize("name, estimate", [("tiny sd", 0.15), ("huge cv", math.inf)])
+    def test_feltz_miller(self, name, estimate):
+        assert feltz_miller_estimate(OVERFLOWING[name]) == pytest.approx(estimate, rel=1e-15)
+
+    @pytest.mark.parametrize("name, estimate", [("tiny sd", 0.0), ("huge cv", 0.6)])
+    def test_new_estimate(self, name, estimate):
+        assert new_estimate(OVERFLOWING[name]) == pytest.approx(estimate, rel=1e-15)
+
+    @pytest.mark.parametrize("name", OVERFLOWING)
+    def test_newton_mle(self, name):
+        with pytest.raises(NumericalError, match=NOT_FINITE_Q):
+            newton_mle(OVERFLOWING[name])
+
+    @pytest.mark.parametrize("name", OVERFLOWING)
+    def test_vj_interval(self, name):
+        with pytest.raises(NumericalError, match=NOT_FINITE_Q):
+            vj_interval(OVERFLOWING[name], 0.95)
+
+    @pytest.mark.parametrize("name", OVERFLOWING)
+    def test_intervals(self, name):
+        results = intervals(OVERFLOWING[name], ALL_METHODS, 0.95, 300, 0)
+        assert list(results) == list(ALL_METHODS)
+        assert isinstance(results.pop(Method.VERRILL_JOHNSON), NumericalError)
+        assert all(result.lower <= result.upper for result in results.values())
 
 
 class TestGroupsReadOnce:

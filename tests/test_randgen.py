@@ -115,6 +115,9 @@ class TestStreamDerivation:
         b = SeededStream(42, 1).standard_normal(50)
         assert np.array_equal(a, b)
 
+    def test_repr_names_both_ids(self):
+        assert repr(SeededStream(5, 7)) == "SeededStream(master_seed=5, stream_id=7)"
+
     def test_different_master_seeds_differ(self):
         a = SeededStream(1).standard_normal(50)
         b = SeededStream(2).standard_normal(50)

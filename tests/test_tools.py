@@ -1,9 +1,12 @@
+import hashlib
 import importlib.util
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 TOOL = TOOLS / "count_code_lines.py"
@@ -20,6 +23,7 @@ def load(path: Path):
 count_code_lines = load(TOOL)
 cli_digest = load(DIGEST)
 engine_digest = load(TOOLS / "engine_digest.py")
+record_digests = load(TOOLS / "record_digests.py")
 
 SOURCE = b'''"""Module docstring,
 over two lines."""
@@ -86,3 +90,33 @@ def test_engine_digest_one_line_per_group_on_every_run():
     assert runs[0] == runs[1]
     groups = [re.fullmatch(r"[0-9a-f]{64} +[1-9]\d* (.+)", line).group(1) for line in runs[0]]
     assert groups == list(engine_digest.GROUPS)
+
+
+def test_engine_digest_folds_an_array_in_a_list_by_its_bytes():
+    # numpy's repr of a 2000-element array shows 6 elements, to 8 digits
+    values = np.linspace(0.0, 1.0, 2000)
+    moved = values.copy()
+    moved[1000] = np.nextafter(moved[1000], 2.0)
+    digests = []
+    for array in (values, moved):
+        digest = hashlib.sha256()
+        engine_digest._update(digest, [("tian", array, 0)])
+        digests.append(digest.hexdigest())
+    assert digests[0] != digests[1]
+
+
+def test_digests_match_the_committed_records():
+    # every output of the CLI calls and of the small engine digest is as
+    # recorded; a change that moves one on purpose re-records them
+    # (python3 tools/record_digests.py) and says so
+    recorded, fresh = record_digests.recorded(), record_digests.fresh()
+    assert sorted(recorded) == sorted(fresh)
+    moved = []
+    for name, lines in fresh.items():
+        # a line's key is its call (CLI) or its group (engine): the text after two fields
+        before = {line.split(maxsplit=2)[2]: line for line in recorded[name][1:]}
+        after = {line.split(maxsplit=2)[2]: line for line in lines}
+        moved += [f"{name}: {key}" for key in {**before, **after} if before.get(key) != after.get(key)]
+    made = " and ".join(sorted({lines[0].removeprefix("# ") for lines in recorded.values()}))
+    versions = f"recorded on {made}; running on {record_digests.header().removeprefix('# ')}"
+    assert not moved, f"{len(moved)} digest lines moved ({versions}):\n" + "\n".join(moved)

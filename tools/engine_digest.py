@@ -110,8 +110,16 @@ CSV_TEXTS = {
 
 
 def _update(digest, value):
-    """Fold one value into ``digest``: an array by its bytes, an error by
-    its class and message, anything else by its repr."""
+    """Fold one value into ``digest``: a list or tuple by its length and
+    then item by item, an array by its bytes, an error by its class and
+    message, anything else by its repr.  An array inside a list is folded
+    by its bytes too: numpy's repr rounds to 8 digits and elides all but
+    6 of more than 1000 elements."""
+    if isinstance(value, (list, tuple)):
+        _update(digest, f"{type(value).__name__} of {len(value)}")
+        for item in value:
+            _update(digest, item)
+        return
     if hasattr(value, "tobytes"):
         part = value.dtype.str.encode() + value.tobytes()
     elif isinstance(value, BaseException):
