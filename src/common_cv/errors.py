@@ -54,7 +54,8 @@ class NumericalError(RuntimeError):
 
 class DegenerateDenominatorError(NumericalError):
     """A denominator came out zero: in one draw of a single-draw pivotal
-    function, or in the new estimate's weighted sum.  Nothing is redrawn."""
+    function, or in the new estimate's weighted sum, which also raises it
+    when it adds +inf and -inf.  Nothing is redrawn."""
 
 
 class NoConvergenceError(NumericalError):

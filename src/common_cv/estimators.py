@@ -41,17 +41,24 @@ def group_cvs(study: Study | Sequence[SampleSummary]) -> np.ndarray:
 
 
 def feltz_miller_estimate(study: Study | Sequence[SampleSummary]) -> float:
-    """Pooled CV as the size-weighted arithmetic mean of group CVs."""
+    """Pooled CV as the size-weighted arithmetic mean of group CVs.
+
+    NumericalError if the CVs include both +inf and -inf, which have no sum.
+    """
     ns, means, sds, _ = group_arrays(_read_once(study))
-    with np.errstate(over="ignore"):
-        return float(np.sum(ns * (sds / means)) / np.sum(ns))
+    with np.errstate(over="ignore", invalid="ignore"):  # a CV beyond the float range reads inf; inf - inf, nan
+        total = float(np.sum(ns * (sds / means)))
+    if math.isnan(total):
+        raise NumericalError("group CVs of +inf and -inf have no weighted mean")
+    return total / float(np.sum(ns))
 
 
 def new_estimate(study: Study | Sequence[SampleSummary]) -> float:
     """Pooled CV as the size-weighted harmonic mean of group CVs.
 
     Equals n / sum_i(n_i * mean_i/sd_i); errors if the weighted sum of
-    inverse CVs cancels to exactly zero (possible with mixed-sign means).
+    inverse CVs cancels to exactly zero (possible with mixed-sign means) or
+    adds inverse CVs of +inf and -inf.
     """
     ns, means, sds, _ = group_arrays(_read_once(study))
     return float(np.sum(ns)) / _inverse_cv_sum(ns, means, sds)
@@ -59,11 +66,14 @@ def new_estimate(study: Study | Sequence[SampleSummary]) -> float:
 
 def _inverse_cv_sum(ns, means, sds) -> float:
     """sum_i n_i*mean_i/sd_i, the denominator of :func:`new_estimate`, or
-    DegenerateDenominatorError if it is exactly zero."""
-    with np.errstate(over="ignore"):  # an inverse CV beyond the float range reads inf
+    DegenerateDenominatorError if it is exactly zero or has no value, as
+    when the inverse CVs include both +inf and -inf."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inverse CV beyond the float range reads inf; inf - inf, nan
         denom = float(np.sum(ns * (means / sds)))
     if denom == 0.0:
         raise DegenerateDenominatorError("weighted inverse CVs sum to zero")
+    if math.isnan(denom):
+        raise DegenerateDenominatorError("weighted inverse CVs of +inf and -inf have no sum")
     return denom
 
 

@@ -9,11 +9,11 @@ D_i = r_i*sqrt(U_i/(n_i-1)) - Z_i/sqrt(n_i):
     new:       weighted harmonic counterpart:  n / sum_i n_i*D_i
     combined:  the plain average of the two
 
-Every pivot equals, bit for bit, these formulas evaluated with numpy on
-(b, k) arrays of variates: below 8 groups, where numpy adds a row's terms
-left to right from +0.0, the kernel adds them column by column in that
-order, and from 8 groups on it evaluates the formulas as written
-(:func:`_pivot_values`).
+Each sum over groups is taken left to right from +0.0, one column at a
+time, at every k (:func:`_pivot_values`); that is what numpy's row sum
+does below 8 groups, so there every pivot equals, bit for bit, these
+formulas evaluated with numpy on (b, k) arrays of variates.  From 8 groups
+on, numpy adds a row pairwise, and the two differ by rounding only.
 
 The new pivot is often written with one standard normal Z against the
 pooled rate, n / (sum_i n_i*sqrt(U_i/(n_i-1))*r_i - sqrt(n)*Z).  Here
@@ -130,40 +130,33 @@ def _variate_slices(stream: SeededStream, dfs: np.ndarray, b: int):
 
 
 def _pivot_values(groups: GroupArrays, u: np.ndarray, zg: np.ndarray) -> dict:
-    """All three pivots, each equal, bit for bit, to the module docstring's
-    formulas evaluated on (b, k) arrays.
+    """All three pivots of the module docstring's formulas, with each sum
+    over groups taken left to right from +0.0.
 
     u and zg are (b, k) arrays; returns {method: (values, degenerate_mask)}
     for each of ``PIVOTAL_METHODS``, both of length b, the rows of one
     (3, b) array of values and one of masks.  Both sums are formed, since
     combined reads them both: the Tian sum of w_j/D_j and the new sum of
     n_j*D_j, so a caller for one method pays for the other's sum too.
-    Below 8 groups, D_j is built one column at a time in a reused buffer
-    from plain-float r_j, df_j and sqrt(n_j), and its terms are added left
-    to right from +0.0, as numpy's ``sum(axis=1)`` adds a row of fewer
-    than 8; from 8 groups on, the formulas are evaluated as written.  A
-    value is degenerate when it is not finite, which includes every zero
-    denominator.
+    D_j is built one column at a time in a reused buffer from plain-float
+    r_j, df_j and sqrt(n_j), and its two terms are added to the sums, so
+    every operation is element-wise.  A value is degenerate when it is not
+    finite, which includes every zero denominator.
     """
     ns, means, sds, dfs = groups
     tian, new, combined = pivots = np.zeros((3, len(u)))
+    # D_j, one column at a time, in the row that ends up holding combined
+    d, term = combined, np.empty((2, len(u)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if ns.size < 8:
-            # D_j, one column at a time, in the row that ends up holding combined
-            d, term = combined, np.empty((2, len(u)))
-            for j in range(ns.size):
-                n, df = float(ns[j]), float(dfs[j])
-                np.divide(u[:, j], df, out=d)
-                np.sqrt(d, out=d)
-                np.multiply(d, float(means[j]) / float(sds[j]), out=d)
-                np.subtract(d, np.divide(zg[:, j], math.sqrt(n), out=term[1]), out=d)
-                np.divide(df, d, out=term[0])
-                np.multiply(d, n, out=term[1])
-                pivots[:2] += term
-        else:
-            d = (means / sds) * np.sqrt(u / dfs) - zg / np.sqrt(ns)
-            np.sum(dfs / d, axis=1, out=tian)
-            np.sum(ns * d, axis=1, out=new)
+        for j in range(ns.size):
+            n, df = float(ns[j]), float(dfs[j])
+            np.divide(u[:, j], df, out=d)
+            np.sqrt(d, out=d)
+            np.multiply(d, float(means[j]) / float(sds[j]), out=d)
+            np.subtract(d, np.divide(zg[:, j], math.sqrt(n), out=term[1]), out=d)
+            np.divide(df, d, out=term[0])
+            np.multiply(d, n, out=term[1])
+            pivots[:2] += term
         tian /= dfs.sum()
         np.divide(ns.sum(), new, out=new)
         np.add(tian, new, out=combined)

@@ -82,6 +82,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MethodPerformance:
+    """One method's results over the replications of a cell.
+
+    ``coverage`` is the share of non-failed replications whose closed
+    interval holds the true CV (-phi when the means are negative), and
+    ``avg_length`` their mean interval length; ``failures`` counts the
+    failed replications.  Both values are nan when every replication
+    failed.
+    """
+
     method: Method
     coverage: float
     avg_length: float

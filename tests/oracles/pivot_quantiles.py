@@ -3,7 +3,8 @@
 Independent of the package: plain numpy default_rng, scalar formulas written
 straight from the definitions. Used to freeze expected quantiles for the
 regression tests; tests/test_pivotal.py also pins the package's draws to
-pivot_formulas bit for bit. Run: python3 tests/oracles/pivot_quantiles.py
+pivot_formulas bit for bit below 8 groups, where numpy's row sum adds left
+to right as the package does. Run: python3 tests/oracles/pivot_quantiles.py
 """
 import numpy as np
 

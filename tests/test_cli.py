@@ -416,6 +416,16 @@ class TestCi:
         assert (code, out) == (2, "")
         assert err == "common-cv: numerical failure: weighted inverse CVs sum to zero\n"
 
+    def test_estimate_where_inverse_cvs_are_opposite_infinities(self, capsys, tmp_path):
+        # 1 / 1e-320 and -1 / 1e-320 overflow to +inf and -inf, which have no sum
+        path = tmp_path / "opposite.csv"
+        path.write_text("group,n,mean,sd\na,5,1.0,1e-320\nb,5,-1.0,1e-320\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "estimate", "--input", str(path), "--summary")
+        assert (code, out) == (2, "")
+        assert err == "common-cv: numerical failure: weighted inverse CVs of +inf and -inf have no sum\n"
+
     def test_huge_group_cv_is_estimated(self, capsys, tmp_path):
         # a group CV of 1e50 beside 0.4: q_i = 8e99 is inside the MLE's bound
         path = tmp_path / "huge.csv"

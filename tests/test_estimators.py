@@ -634,6 +634,46 @@ class TestOverflowingGroup:
         assert all(result.lower <= result.upper for result in results.values())
 
 
+# two groups whose inverse CVs (sds of 1e-320 beside means of 1 and -1) or
+# CVs (sds of 1e300 beside means of 1e-300 and -1e-300) are +inf and -inf
+OPPOSITE_INFINITIES = {
+    "inverse cvs": study_of((5, 5), (1.0, -1.0), (1e-320, 1e-320)),
+    "cvs": study_of((5, 5), (1e-300, -1e-300), (1e300, 1e300)),
+}
+NO_INVERSE_CV_SUM = "weighted inverse CVs of +inf and -inf have no sum"
+
+
+class TestOppositeInfinities:
+    """Infinities of both signs have no sum: each estimate that adds them
+    raises a typed error, with no RuntimeWarning."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_feltz_miller(self):
+        with pytest.raises(NumericalError, match=r"^group CVs of \+inf and -inf have no weighted mean$"):
+            feltz_miller_estimate(OPPOSITE_INFINITIES["cvs"])
+
+    @pytest.mark.parametrize("estimate", [
+        pytest.param(new_estimate, id="new"),
+        pytest.param(newton_mle, id="mle"),
+        pytest.param(lambda groups: vj_interval(groups, 0.95), id="vj"),
+    ])
+    def test_inverse_cv_sum(self, estimate):
+        with pytest.raises(DegenerateDenominatorError) as raised:
+            estimate(OPPOSITE_INFINITIES["inverse cvs"])
+        assert str(raised.value) == NO_INVERSE_CV_SUM
+
+    def test_intervals_map_vj_to_its_error(self):
+        results = intervals(OPPOSITE_INFINITIES["inverse cvs"], ALL_METHODS, 0.95, 300, 0)
+        assert list(results) == list(ALL_METHODS)
+        vj = results[Method.VERRILL_JOHNSON]
+        assert isinstance(vj, DegenerateDenominatorError) and str(vj) == NO_INVERSE_CV_SUM
+
+
 class TestGroupsReadOnce:
     ESTIMATES = [
         pytest.param(feltz_miller_estimate, id="feltz_miller"),

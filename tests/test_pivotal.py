@@ -35,7 +35,7 @@ from common_cv.pivotal import (
     tian_draw,
 )
 from common_cv.randgen import ROLE_PIVOT_BLOCK, ROLE_RESAMPLE, SeededStream
-from oracles.pivot_quantiles import pivot_formulas, pivots as oracle_pivots, variates as oracle_variates
+from oracles.pivot_quantiles import pivot_formulas, variates as oracle_variates
 
 # Values float() or a comparison may take, none of them a real number.
 NOT_REAL = ("0.95", None, 1j, True)
@@ -301,6 +301,22 @@ def _broadcast(groups, u, zg):
     return dict(zip((Method.TIAN, Method.NEW, Method.COMBINED), values))
 
 
+def _left_to_right(groups, u, zg):
+    """{method: pivots} of (b, k) variates, with D broadcast as the oracle
+    forms it and each sum over groups taken column by column, left to right
+    from +0.0: the package's contract at every k.  numpy's row sum adds the
+    same way below 8 columns and pairwise from 8 on."""
+    ns, means, sds, dfs = groups
+    tian, new = np.zeros(len(u)), np.zeros(len(u))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = (means / sds) * np.sqrt(u / dfs) - zg / np.sqrt(ns)
+        for j in range(ns.size):
+            tian = tian + dfs[j] / d[:, j]
+            new = new + ns[j] * d[:, j]
+        tian, new = tian / dfs.sum(), ns.sum() / new
+    return {Method.TIAN: tian, Method.NEW: new, Method.COMBINED: 0.5 * (tian + new)}
+
+
 def _block_variates(seed, i, dfs, b):
     """Block i's (b, k) chi-squares and normals, read by the oracle from
     the generator its sub-stream is documented to seed."""
@@ -312,11 +328,12 @@ def _generator(stream):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([stream.master_seed, stream.stream_id])))
 
 
-def _broadcast_blocks(groups, seed, m):
+def _broadcast_blocks(groups, seed, m, formulas=_broadcast):
     """{method: m pivots}: each block's (b, k) variates rebuilt whole from
-    the documented layout, through the oracle's broadcast formulas."""
+    the documented layout, through ``formulas`` (by default the oracle's
+    broadcast formulas)."""
     blocks = [
-        _broadcast(groups, *_block_variates(seed, i, groups.dfs, min(_BLOCK, m - start)))
+        formulas(groups, *_block_variates(seed, i, groups.dfs, min(_BLOCK, m - start)))
         for i, start in enumerate(range(0, m, _BLOCK))
     ]
     return {method: np.concatenate([block[method] for block in blocks]) for method in blocks[0]}
@@ -356,8 +373,10 @@ class TestEqualDfsDrawnFromOneDf:
 
 
 class TestDrawsPinnedToBroadcastFormulas:
-    """The engine's draws equal, bit for bit, the broadcast formulas applied
-    to each block's variates rebuilt from the documented layout."""
+    """The engine's draws equal, bit for bit, the pivots of each block's
+    variates rebuilt from the documented layout, with each sum over groups
+    taken left to right: below 8 groups that is the broadcast formulas as
+    written."""
 
     ALONE_AND_ALL = [
         (Method.TIAN,), (Method.NEW,), (Method.COMBINED,), (Method.TIAN, Method.NEW, Method.COMBINED)
@@ -376,33 +395,49 @@ class TestDrawsPinnedToBroadcastFormulas:
             assert np.all(np.isfinite(expected)) and rejected[method] == 0
             assert np.array_equal(values[method], expected)
 
-    @pytest.mark.parametrize("k", [8, 9, 17, 130])
+    @pytest.mark.parametrize("k", [7, 8, 9, 17, 130])
     def test_wide_studies(self, k):
-        # from 8 columns on, a row-wise sum adds pairwise, not left to right
+        # below 8 columns numpy's row sum adds left to right, as the kernel
+        # does at every k: there the oracle's formulas pin the draws as written
         study = _wide_study(k)
         groups, methods = group_arrays(study), (Method.TIAN, Method.NEW, Method.COMBINED)
-        expected = _broadcast(groups, *_block_variates(k, 0, groups.dfs, 2000))
+        formulas = _broadcast if k < 8 else _left_to_right
+        expected = formulas(groups, *_block_variates(k, 0, groups.dfs, 2000))
         values = _pivot_value_arrays(study, methods, 2000, k)[0]
         for method in methods:
             assert np.array_equal(values[method], expected[method])
 
     @pytest.mark.parametrize("k", [8, 17])
     def test_wide_studies_over_several_passes(self, k):
-        # each block is computed in passes of _SLICE rows; a row's pairwise
-        # sum does not depend on how many rows share the pass
+        # each block is computed in passes of _SLICE rows; a row's sums do
+        # not depend on how many rows share the pass
         study, methods = _wide_study(k), (Method.TIAN, Method.NEW, Method.COMBINED)
-        expected = _broadcast_blocks(group_arrays(study), k, _BLOCK + 17)
+        expected = _broadcast_blocks(group_arrays(study), k, _BLOCK + 17, _left_to_right)
         values = _pivot_value_arrays(study, methods, _BLOCK + 17, k)[0]
         for method in methods:
             assert np.array_equal(values[method], expected[method])
 
     def test_single_draw_of_a_wide_study(self):
-        # one row of 17 groups: the kernel's formulas from 8 groups on
+        # single rows of 17 groups, added left to right as a block's rows
+        # are; half of these 8 rows round differently when added pairwise
         study = _wide_study(17)
         groups = group_arrays(study)
-        u, zg = oracle_variates(np.random.default_rng(17), groups.dfs, 1)
-        expected = pivot_formulas(groups.ns, groups.means, groups.sds, u, zg)[0][0]
-        assert tian_draw(study, u[0], zg[0]) == expected
+        u, zg = oracle_variates(np.random.default_rng(17), groups.dfs, 8)
+        expected = _left_to_right(groups, u, zg)[Method.TIAN].tolist()
+        assert [tian_draw(study, u[i], zg[i]) for i in range(8)] == expected
+
+    @pytest.mark.parametrize("k", [8, 17, 130])
+    @pytest.mark.parametrize("m", [2000, 10**5])
+    def test_wide_interval_ends_within_4_ulp_of_the_formulas(self, k, m):
+        # from 8 columns on, left-to-right and pairwise sums differ by rounding only
+        study, level = _wide_study(k), 0.95
+        alpha = 1.0 - level
+        blocks = _broadcast_blocks(group_arrays(study), k, m)
+        found = intervals(study, PIVOTAL, level, m, k)
+        for method in PIVOTAL:
+            expected = np.array([quantile(blocks[method], p) for p in (alpha / 2.0, 1.0 - alpha / 2.0)])
+            ends = np.array([found[method].lower, found[method].upper])
+            assert np.all(np.abs(ends - expected) <= 4 * np.spacing(np.abs(expected)))
 
     @pytest.mark.parametrize("study_name", ["surveys", "wide_17"])
     def test_regenerated_replicates(self, request, monkeypatch, study_name):
@@ -429,11 +464,11 @@ class TestDrawsPinnedToBroadcastFormulas:
         rows = np.nonzero(np.arange(m) % 700 == 3)[0]
         assert rejected[Method.COMBINED] == 2 * rows.size
         expected = clean.copy()
-        summary = [[g.n for g in study], [g.mean for g in study], [g.sd for g in study]]
+        groups = group_arrays(study)
         for r in rows:
             rng = _generator(SeededStream(seed).substream(ROLE_RESAMPLE, int(r)))
-            oracle_pivots(rng, *summary, 1)  # the flagged first attempt
-            expected[r] = oracle_pivots(rng, *summary, 1)[2][0]
+            oracle_variates(rng, groups.dfs, 1)  # the flagged first attempt
+            expected[r] = _left_to_right(groups, *oracle_variates(rng, groups.dfs, 1))[Method.COMBINED][0]
         assert np.array_equal(values[Method.COMBINED], expected)
         assert not np.array_equal(values[Method.COMBINED], clean)
 

@@ -11,13 +11,12 @@ of cases and the group's name.  The groups are:
   the tails beyond the interval ends at several levels, the two counts of
   a test), on a balanced three-group study, on both bundled datasets and
   on a wide study of 17 groups of unequal sizes (n_i = 5 + (7i mod 26)),
-  whose chi-squares take the array-df path and whose pivots the kernel
-  forms by its branch for 8 groups or more, at every m and seed below, on
-  one and on two worker threads, with the kernel as it is, with a kernel
-  that marks about 0.5% of each pass's rows degenerate, and with one that
-  marks 2% of them for ``new`` alone, which fails that method (the marked
-  rows of the wide study are redrawn one row at a time, through the same
-  branch);
+  whose chi-squares take the array-df path and whose sums over groups
+  numpy would add pairwise, at every m and seed below, on one and on two
+  worker threads, with the kernel as it is, with a kernel that marks about
+  0.5% of each pass's rows degenerate, and with one that marks 2% of them
+  for ``new`` alone, which fails that method (the marked rows are redrawn
+  one row at a time);
 - ``intervals`` (all four methods) and ``gpq_tests`` (every alternative);
 - ``generate_draws`` for each pivotal method;
 - ``run_study`` on a balanced and an unbalanced cell and on a cell of two
