@@ -32,20 +32,20 @@ value is the same bit for bit for any thread count; a call of at most
 2^15 draws is one block and starts no thread.
 
 A value that is not finite (a zero denominator, or overflow) is
-degenerate for its method.  That replicate is regenerated from the
-sub-stream keyed by its index and counted in ``rejected``, so results do
-not depend on scheduling.  A method whose degenerate draws exceed 1%, or
-whose replicate stays degenerate, fails alone.  Draws can be negative:
-the pivots have heavy tails when a mean/sd ratio is small, and no
-truncation is applied.
+degenerate for its method.  The kernel pass that finds it draws that
+replicate again, from the sub-stream keyed by its index, until it is
+finite, and counts each draw in ``rejected``, so results do not depend on
+scheduling.  A method fails alone as soon as its regenerated draws reach
+1% of its attempts.  Draws can be negative: the pivots have heavy tails
+when a mean/sd ratio is small, and no truncation is applied.
 
-Each kernel pass hands each method's values to one reducer per method,
-which every thread of the call feeds under one lock.  A reducer keeps
-only what the caller reads: every draw (:class:`_Values`), the two tails
-beyond the interval ends (:class:`_Tails`), or the two counts of a test
-(:class:`_Counts`).  An order statistic or a count does not depend on
-the order its values arrive in, so every end and p-value is the one all
-m draws in one array give.
+Each kernel pass hands each method's values, all finite, to one reducer
+per method, which every thread of the call feeds under one lock.  A
+reducer keeps only what the caller reads: every draw (:class:`_Values`),
+the two tails beyond the interval ends (:class:`_Tails`), or the two
+counts of a test (:class:`_Counts`).  An order statistic or a count does
+not depend on the order its values arrive in, so every end and p-value
+is the one all m draws in one array give.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ _BLOCK = 1 << 15
 _SLICE = 1 << 13  # replicates per kernel pass: bounds the working set a thread holds
 # threads that fill the blocks of one engine call: every CPU this process may use
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_MAX_RESAMPLE_ATTEMPTS = 1000
 _MAX_REJECTED_FRACTION = 0.01
 
 
@@ -125,7 +124,6 @@ def _variate_slices(stream: SeededStream, dfs: np.ndarray, b: int):
     for first in range(0, b, _SLICE):
         zg = stream.standard_normal((min(_SLICE, b - first), dfs.size))
         yield first, u[first:first + _SLICE], zg
-    del u, zg  # freed before the spare normals are drawn, once the caller drops its views
     stream.standard_normal(b)
 
 
@@ -218,39 +216,10 @@ def combined_draw(tian_value: float, new_value: float) -> float:
     return 0.5 * (tian_value + new_value)
 
 
-def _resample(groups, method, base, rows, m, reducer):
-    """Regenerate each listed degenerate replicate from the sub-stream
-    keyed by its index until it is finite, and feed it to ``reducer``.
-    Returns (draws made, error or None).  Once the draws made reach 1% of
-    all attempts the method has failed, so no further replicate is begun:
-    a replicate's own attempts always run to the end."""
-    count = 0
-    for r in rows:
-        stream = base.substream(ROLE_RESAMPLE, int(r))
-        for _ in range(_MAX_RESAMPLE_ATTEMPTS):
-            count += 1
-            # run to the end, so that the spare normal is drawn before the next attempt
-            for _, u, zg in _variate_slices(stream, groups.dfs, 1):
-                vals, bad = _pivot_values(groups, u, zg)[method]
-            if not bad[0]:
-                reducer.feed(int(r), vals, vals)
-                break
-        else:
-            return count, DegenerateRateError(
-                f"replicate {int(r)} stayed degenerate after {_MAX_RESAMPLE_ATTEMPTS} attempts"
-            )
-        if count / (m + count) >= _MAX_REJECTED_FRACTION:
-            return count, DegenerateRateError(
-                f"{count} degenerate draws out of {m + count} attempts; data look pathological"
-            )
-    return count, None
-
-
 # The engine hands each kernel pass to one reducer per method, shared by
-# all its worker threads under one lock: ``feed(first, vals, finite)`` gets
-# the pass's first replicate's index, its values, and its values without
-# the degenerate ones (those are regenerated and fed in one by one later),
-# and ``result()`` is what the engine returns for the method.
+# all its worker threads under one lock: ``feed(first, vals)`` gets the
+# pass's first replicate's index and its values, degenerate ones already
+# regenerated, and ``result()`` is what the engine returns for the method.
 
 
 class _Values:
@@ -260,7 +229,7 @@ class _Values:
     def __init__(self, m):
         self.values = np.empty(m)
 
-    def feed(self, first, vals, finite):
+    def feed(self, first, vals):
         self.values[first:first + vals.size] = vals
 
     def result(self):
@@ -288,14 +257,14 @@ class _Tails:
         self.buf = np.empty(min(m, tails + max(tails // 2, _SLICE) + _SLICE))
         self.size, self.cuts = 0, None
 
-    def feed(self, first, vals, finite):
+    def feed(self, first, vals):
         if self.cuts is not None:
-            below = finite < self.cuts[0]
-            finite = finite[np.logical_or(below, finite > self.cuts[1], out=below)]
-        if self.size + finite.size > self.buf.size:
+            below = vals < self.cuts[0]
+            vals = vals[np.logical_or(below, vals > self.cuts[1], out=below)]
+        if self.size + vals.size > self.buf.size:
             self._compact()
-        self.buf[self.size:self.size + finite.size] = finite
-        self.size += finite.size
+        self.buf[self.size:self.size + vals.size] = vals
+        self.size += vals.size
 
     def _select(self):
         """The buffer's values at the ranks of the two ends, as floats,
@@ -328,9 +297,9 @@ class _Counts:
     def __init__(self, phi0):
         self.phi0, self.at_most, self.at_least = phi0, 0, 0
 
-    def feed(self, first, vals, finite):
-        self.at_most += int(np.count_nonzero(finite <= self.phi0))
-        self.at_least += int(np.count_nonzero(finite >= self.phi0))
+    def feed(self, first, vals):
+        self.at_most += int(np.count_nonzero(vals <= self.phi0))
+        self.at_least += int(np.count_nonzero(vals >= self.phi0))
 
     def result(self):
         return self.at_most, self.at_least
@@ -365,23 +334,24 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
     {method: rejected_count}), both empty when no method is requested; a
     method named twice is drawn and reduced once.  A method whose draws
     failed maps to its NumericalError instead, and the other methods are
-    unaffected.  Per-method degenerate replicates are regenerated
-    independently, each from the sub-stream keyed by its replicate index,
-    so a method's output is identical whether it is computed alone or
-    alongside others.  The rejected count is the number of regenerated
-    replicates drawn, also for a method that failed.
+    unaffected.  Each degenerate row is drawn again, in the pass that finds
+    it, from the sub-stream keyed by its replicate index, until it is
+    finite, so a method's output is identical whether it is computed alone
+    or alongside others.  The rejected count is the number of regenerated
+    draws, also for a method that failed.  A method fails as soon as that
+    count c reaches 1% of its m + c attempts, checked after every draw, so
+    it always stops at the least such c, whichever thread finds the rows.
 
     Blocks are filled on W = min(_WORKERS, blocks) threads, the calling
     thread included: worker w takes blocks w, w + W, w + 2W, ...  Every
-    worker feeds each kernel pass to the same reducer per method, under
-    one lock per call, so an interval holds one buffer of tails however
-    many threads fill it.  A reducer's result does not depend on the
-    order passes arrive in, and the degenerate rows of all passes are
-    sorted after the join and regenerated serially in ascending order, so
-    the result is bit-identical for any worker count.  One
-    block stays on the calling thread.  An exception in any worker
-    is raised here once every worker has joined.  The callers have
-    checked (m, seed) with :func:`_draw_args`.
+    worker regenerates the degenerate rows of each kernel pass and feeds
+    the pass to the same reducer per method, under one lock per call, so
+    an interval holds one buffer of tails however many threads fill it.  A
+    reducer's result does not depend on the order passes arrive in, so the
+    result is bit-identical for any worker count.  One block stays on the
+    calling thread.  An exception in any worker is raised here once every
+    worker has joined.  The callers have checked (m, seed) with
+    :func:`_draw_args`.
     """
     _check_pivotal(methods)
     if not methods:
@@ -391,20 +361,38 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
     blocks = -(-m // _BLOCK)
     workers = min(_WORKERS, blocks)
     reducers = {method: reduce() if reduce else _Values(m) for method in methods}
+    rejected = dict.fromkeys(reducers, 0)
     lock = threading.Lock()
-    bad_rows = {method: [] for method in methods}  # the ledger: the rows of each pass that has any, in arrival order
     errors = [None] * workers
+
+    def regenerated(method, row):
+        # replicate ``row`` drawn again until it is finite; called under the lock
+        stream = base.substream(ROLE_RESAMPLE, row)
+        while True:
+            # run to the end, so that the spare normal is drawn before the next attempt
+            for _, u, zg in _variate_slices(stream, groups.dfs, 1):
+                vals, bad = _pivot_values(groups, u, zg)[method]
+            count = rejected[method] = rejected[method] + 1
+            if count / (m + count) >= _MAX_REJECTED_FRACTION:
+                raise DegenerateRateError(
+                    f"{count} degenerate draws out of {m + count} attempts; data look pathological"
+                )
+            if not bad[0]:
+                return vals[0]
 
     def feed(first, pivots):
         with lock:
             for method, reducer in reducers.items():
+                if isinstance(reducer, NumericalError):  # the method has failed: its later passes are dropped
+                    continue
                 vals, bad = pivots[method]
-                if bad.any():  # a clean pass, the common case, adds nothing to the ledger
-                    bad = np.flatnonzero(bad)
-                    reducer.feed(first, vals, np.delete(vals, bad))
-                    bad_rows[method].append(bad + first)
+                try:
+                    for row in np.flatnonzero(bad):
+                        vals[row] = regenerated(method, first + int(row))
+                except DegenerateRateError as exc:
+                    reducers[method] = exc
                 else:
-                    reducer.feed(first, vals, vals)
+                    reducer.feed(first, vals)
 
     def fill_block(i):
         # a function, so that a block's arrays are freed before the next
@@ -413,7 +401,6 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
         stream = base.substream(ROLE_PIVOT_BLOCK, i)
         for first, u, zg in _variate_slices(stream, groups.dfs, min(_BLOCK, m - start)):
             feed(start + first, _pivot_values(groups, u, zg))
-            del u, zg  # so the block's arrays are freed before its spare normals are drawn
 
     def fill(worker):
         try:
@@ -436,11 +423,7 @@ def _pivot_value_arrays(study, methods, m, seed, reduce=None):
         if error is not None:
             raise error
 
-    results, rejected = {}, {}
-    for method, reducer in reducers.items():
-        rows = np.sort(np.concatenate(bad_rows[method])) if bad_rows[method] else ()
-        rejected[method], error = _resample(groups, method, base, rows, m, reducer)
-        results[method] = reducer.result() if error is None else error
+    results = {method: r if isinstance(r, NumericalError) else r.result() for method, r in reducers.items()}
     return results, rejected
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import sys
 import threading
 import time
@@ -17,6 +19,7 @@ from common_cv.errors import (
     TooFewGroupsError,
     ValidationError,
 )
+from common_cv.estimators import feltz_miller_estimate, new_estimate
 from common_cv.model import Alternative, IntervalResult, Method, SampleSummary, Study, group_arrays
 from common_cv.pivotal import (
     _BLOCK,
@@ -282,6 +285,49 @@ class TestDegenerateHandling:
         with pytest.raises(DegenerateRateError):
             generate_draws(surveys, Method.NEW, 100, seed=0)
 
+    @staticmethod
+    def _flag_row_5_of_the_first_pass(study, seed, attempts):
+        """Flags row 5 of block 0's first pass, which it tells by its
+        variates, and the first ``attempts`` single-row kernel calls."""
+        original, calls = pivotal._pivot_values, itertools.count(1)
+        first_row = _block_variates(seed, 0, group_arrays(study).dfs, _BLOCK)[0][0]
+
+        def patched(groups, u, zg):
+            drawn = original(groups, u, zg)
+            flag = np.zeros(len(u), dtype=bool)
+            if len(u) > 1:
+                flag[5] = np.array_equal(u[0], first_row)
+            else:
+                flag[0] = next(calls) <= attempts
+            return {method: (vals, bad | flag) for method, (vals, bad) in drawn.items()}
+
+        return patched
+
+    def test_replicate_degenerate_on_every_attempt_fails_at_one_percent(self, surveys, monkeypatch):
+        # no attempt cap: the method fails once its regenerated draws reach
+        # 1% of its attempts, 21 of 2021 at m = 2000
+        monkeypatch.setattr(pivotal, "_pivot_values", self._flag_row_5_of_the_first_pass(surveys, 0, math.inf))
+        values, rejected = _pivot_value_arrays(surveys, (Method.NEW,), 2000, seed=0)
+        assert rejected == {Method.NEW: 21}
+        assert str(values[Method.NEW]) == "21 degenerate draws out of 2021 attempts; data look pathological"
+
+    def test_replicate_regenerated_while_within_one_percent(self, surveys, monkeypatch):
+        # one replicate degenerate on its first 1500 attempts: within the
+        # 2021 draws 1% allows at m = 200,000, so it is drawn a 1501st time
+        m, seed, row = 200_000, 3, 5
+        clean = _pivot_value_arrays(surveys, (Method.NEW,), m, seed)[0][Method.NEW]
+        monkeypatch.setattr(pivotal, "_pivot_values", self._flag_row_5_of_the_first_pass(surveys, seed, 1500))
+        values, rejected = _pivot_value_arrays(surveys, (Method.NEW,), m, seed)
+        assert rejected == {Method.NEW: 1501}
+        groups = group_arrays(surveys)
+        rng = _generator(SeededStream(seed).substream(ROLE_RESAMPLE, row))
+        for _ in range(1500):
+            oracle_variates(rng, groups.dfs, 1)
+        expected = clean.copy()
+        expected[row] = _left_to_right(groups, *oracle_variates(rng, groups.dfs, 1))[Method.NEW][0]
+        assert np.array_equal(values[Method.NEW], expected)
+        assert expected[row] != clean[row]
+
     def test_failure_is_per_method(self, surveys, monkeypatch):
         methods = (Method.TIAN, Method.NEW, Method.COMBINED)
         clean, _ = _pivot_value_arrays(surveys, methods, 2000, seed=0)
@@ -345,6 +391,38 @@ def _wide_study(k):
         SampleSummary(n=int(n), mean=float(mean), sd=float(sd))
         for n, mean, sd in zip(rng.integers(2, 40, k), rng.uniform(0.5, 5.0, k), rng.uniform(0.5, 3.0, k))
     ))
+
+
+# an inverse CV of inf (an sd of 1e-320 beside a mean of 1), and inverse
+# CVs of +inf and -inf
+INFINITE_INVERSE_CV = Study(groups=(SampleSummary(n=5, mean=1.0, sd=1e-320), SampleSummary(n=5, mean=1.0, sd=0.3)))
+OPPOSITE_INVERSE_CVS = Study(groups=(SampleSummary(n=5, mean=1.0, sd=1e-320), SampleSummary(n=5, mean=-1.0, sd=1e-320)))
+
+
+class TestInfiniteInverseCvs:
+    """A pivot that divides by an infinite sum reads 0.0 on every draw, as
+    the matching estimate does, so its interval is (0.0, 0.0); a pivot whose
+    sum is inf - inf is degenerate on every attempt and fails by the 1%
+    rule, as ``new_estimate`` fails."""
+
+    def test_new_reads_zero_as_new_estimate_does(self):
+        result = intervals(INFINITE_INVERSE_CV, (Method.NEW,), 0.95, 5000, 0)[Method.NEW]
+        assert (result.lower, result.upper) == (0.0, 0.0)
+        assert new_estimate(INFINITE_INVERSE_CV) == 0.0
+
+    def test_tian_reads_zero_as_feltz_miller_does(self):
+        result = intervals(OPPOSITE_INVERSE_CVS, (Method.TIAN,), 0.95, 5000, 0)[Method.TIAN]
+        assert (result.lower, result.upper) == (0.0, 0.0)
+        assert feltz_miller_estimate(OPPOSITE_INVERSE_CVS) == 0.0
+
+    def test_new_and_combined_fail_after_51_draws(self):
+        results = intervals(OPPOSITE_INVERSE_CVS, PIVOTAL, 0.95, 5000, 0)
+        assert isinstance(results[Method.TIAN], IntervalResult)
+        for method in (Method.NEW, Method.COMBINED):
+            assert isinstance(results[method], DegenerateRateError)
+            assert str(results[method]) == "51 degenerate draws out of 5051 attempts; data look pathological"
+        with pytest.raises(DegenerateDenominatorError):
+            new_estimate(OPPOSITE_INVERSE_CVS)
 
 
 class TestEqualDfsDrawnFromOneDf:
@@ -539,15 +617,16 @@ class TestBlocksOnThreads:
                 assert np.array_equal(values[method], runs[0][0][method])
                 assert np.array_equal(np.flatnonzero(values[method] != clean[method]), rows)
 
-    def test_first_unrecoverable_replicate_named(self, surveys, monkeypatch):
-        # rows are resampled in ascending order whichever thread filled them
+    def test_failure_count_does_not_depend_on_worker_count(self, surveys, monkeypatch, fast_switching):
+        # every attempt at the flagged rows is degenerate: whichever thread
+        # finds them, each method fails at the least c with c/(M + c) >= 1%
         monkeypatch.setattr(pivotal, "_pivot_values", self._flag_row_3(surveys, 9, also_single_rows=True))
         runs = self._per_worker_count(monkeypatch, lambda: _pivot_value_arrays(surveys, self.ALL, self.M, seed=9))
         for values, rejected in runs:
-            assert rejected == {method: 1000 for method in self.ALL}
+            assert rejected == {method: 994 for method in self.ALL}
             for method in self.ALL:
                 assert isinstance(values[method], DegenerateRateError)
-                assert str(values[method]) == f"replicate {_BLOCK + 3} stayed degenerate after 1000 attempts"
+                assert str(values[method]) == "994 degenerate draws out of 99315 attempts; data look pathological"
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_worker_error_raised_after_every_worker_joined(self, surveys, monkeypatch, workers):
@@ -641,7 +720,7 @@ class TestReducedAsDrawn:
         values[-2:] = 2 * lo - 1, 1e6 - 2 * (m - hi - 1) + 1
         tails = pivotal._Tails(m, lo, hi)
         for first in range(0, m, pivotal._SLICE):
-            tails.feed(first, values[first:first + pivotal._SLICE], values[first:first + pivotal._SLICE])
+            tails.feed(first, values[first:first + pivotal._SLICE])
         assert tails.cuts is not None
         ordered = np.sort(values)
         assert tails.result() == (ordered[lo], ordered[hi]) == (values[-2], values[-1])

@@ -14,9 +14,11 @@ of cases and the group's name.  The groups are:
   whose chi-squares take the array-df path and whose sums over groups
   numpy would add pairwise, at every m and seed below, on one and on two
   worker threads, with the kernel as it is, with a kernel that marks about
-  0.5% of each pass's rows degenerate, and with one that marks 2% of them
-  for ``new`` alone, which fails that method (the marked rows are redrawn
-  one row at a time);
+  0.5% of each pass's rows degenerate, with one that also marks about 30%
+  of the single-row attempts that redraw them (chosen by each attempt's
+  own first chi-square, so the marks do not depend on thread or call
+  order), and with one that marks 2% of the rows for ``new`` alone, which
+  fails that method (the marked rows are redrawn one row at a time);
 - ``intervals`` (all four methods) and ``gpq_tests`` (every alternative);
 - ``generate_draws`` for each pivotal method;
 - ``run_study`` on a balanced and an unbalanced cell and on a cell of two
@@ -55,7 +57,7 @@ MS = (100, 2**15 + 17, 10**5)
 SEEDS = (0, 12345, 2**64 - 1)
 LEVELS = (1e-15, 0.5, 0.95, 0.999999)
 REPS = 30
-KERNELS = ("clean", "0.5% of rows", "2% of new's rows")
+KERNELS = ("clean", "0.5% of rows", "0.5% of rows, 30% of attempts", "2% of new's rows")
 VJ_LEVELS = (0.5, 0.95, 0.9999999999999999)
 GROUPS = (
     "engine values", "engine tails", "engine counts", "intervals", "gpq_tests", "generate_draws", "run_study", "mle",
@@ -136,10 +138,11 @@ def _outcome(call):
         return exc
 
 
-def _flagging(original, method_fractions):
+def _flagging(original, method_fractions, attempts=0.0):
     """A kernel that marks rows degenerate in every pass of more than one
-    row: for each (method, period), every period-th row, from row 7.
-    Resampling attempts are left as they are."""
+    row: for each (method, period), every period-th row, from row 7.  A
+    single-row attempt is marked for every method when the fractional part
+    of its first chi-square is below ``attempts``."""
 
     def kernel(groups, u, zg):
         pivots = original(groups, u, zg)
@@ -147,6 +150,8 @@ def _flagging(original, method_fractions):
             for method, period in method_fractions:
                 vals, bad = pivots[method]
                 pivots[method] = vals, bad | (np.arange(len(u)) % period == 7)
+        elif u[0, 0] % 1.0 < attempts:
+            pivots = {method: (vals, np.ones_like(bad)) for method, (vals, bad) in pivots.items()}
         return pivots
 
     return kernel
@@ -182,7 +187,8 @@ def lines(ms=MS, seeds=SEEDS, reps=REPS) -> list[str]:
     kernels = {
         KERNELS[0]: original,
         KERNELS[1]: _flagging(original, [(method, 199) for method in pivotal_methods]),
-        KERNELS[2]: _flagging(original, [(cv.Method.NEW, 50)]),
+        KERNELS[2]: _flagging(original, [(method, 199) for method in pivotal_methods], 0.3),
+        KERNELS[3]: _flagging(original, [(cv.Method.NEW, 50)]),
     }
     groups = {name: hashlib.sha256() for name in GROUPS}
     counts = dict.fromkeys(groups, 0)
